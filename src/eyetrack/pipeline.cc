@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "flatcam/optics.h"
 
 namespace eyecod {
 namespace eyetrack {
@@ -37,6 +38,22 @@ sanitizeView(Image &view)
 
 } // namespace
 
+flatcam::MaskConfig
+flatcamMaskConfig(const PipelineConfig &cfg)
+{
+    flatcam::MaskConfig mc;
+    mc.scene_rows = cfg.scene_size;
+    mc.scene_cols = cfg.scene_size;
+    mc.sensor_rows = cfg.scene_size + cfg.flatcam_sensor_margin;
+    mc.sensor_cols = cfg.scene_size + cfg.flatcam_sensor_margin;
+    mc.seed = cfg.mask_seed;
+    // The MLS must span the scene extent.
+    mc.mls_order = 3;
+    while ((1 << mc.mls_order) - 1 < mc.sensor_rows)
+        ++mc.mls_order;
+    return mc;
+}
+
 PredictThenFocusPipeline::PredictThenFocusPipeline(PipelineConfig cfg)
     : cfg_(cfg), segmenter_(cfg.segmenter),
       roi_(cfg.roi_height, cfg.roi_width), gaze_(cfg.gaze),
@@ -50,20 +67,18 @@ PredictThenFocusPipeline::PredictThenFocusPipeline(PipelineConfig cfg)
         injector_ =
             std::make_unique<flatcam::FaultInjector>(cfg_.faults);
     if (cfg_.camera == CameraKind::FlatCam) {
-        flatcam::MaskConfig mc;
-        mc.scene_rows = cfg_.scene_size;
-        mc.scene_cols = cfg_.scene_size;
-        mc.sensor_rows = cfg_.scene_size + cfg_.flatcam_sensor_margin;
-        mc.sensor_cols = cfg_.scene_size + cfg_.flatcam_sensor_margin;
-        mc.seed = cfg_.mask_seed;
-        // The MLS must span the scene extent.
-        mc.mls_order = 3;
-        while ((1 << mc.mls_order) - 1 < mc.sensor_rows)
-            ++mc.mls_order;
+        // Every pipeline of one mask shares its decomposition; only
+        // the noise stream and scratch are this pipeline's own.
+        const std::shared_ptr<const flatcam::Optics> optics =
+            flatcam::sharedOptics(flatcamMaskConfig(cfg_),
+                                  cfg_.recon_epsilon);
         sensor_ = std::make_unique<flatcam::FlatCamSensor>(
-            flatcam::makeSeparableMask(mc), cfg_.sensor_noise);
+            std::shared_ptr<const flatcam::SensorOptics>(
+                optics, &optics->sensor),
+            cfg_.sensor_noise);
         recon_ = std::make_unique<flatcam::FlatCamReconstructor>(
-            sensor_->mask(), cfg_.recon_epsilon);
+            std::shared_ptr<const flatcam::ReconOptics>(
+                optics, &optics->recon));
         sensor_->setFaultInjector(injector_.get());
     }
     // Pre-warm the frame arena: its only serving-path consumer is the

@@ -143,6 +143,14 @@ struct PipelineConfig
 };
 
 /**
+ * The FlatCam mask a pipeline of @p cfg images through: a sensor
+ * flatcam_sensor_margin wider than the scene, the shortest MLS that
+ * spans it, and mask_seed. The key of the pipeline's shared optics
+ * (flatcam::sharedOptics, with recon_epsilon).
+ */
+flatcam::MaskConfig flatcamMaskConfig(const PipelineConfig &cfg);
+
+/**
  * The composed predict-then-focus pipeline.
  */
 class PredictThenFocusPipeline

@@ -10,9 +10,16 @@ namespace eyecod {
 namespace flatcam {
 
 FlatCamSensor::FlatCamSensor(SeparableMask mask, SensorNoise noise)
-    : mask_(std::move(mask)), phi_r_t_(mask_.phiR.transposed()),
-      noise_(noise), rng_(noise.seed)
+    : FlatCamSensor(std::make_shared<const SensorOptics>(std::move(mask)),
+                    noise)
 {
+}
+
+FlatCamSensor::FlatCamSensor(std::shared_ptr<const SensorOptics> optics,
+                             SensorNoise noise)
+    : optics_(std::move(optics)), noise_(noise), rng_(noise.seed)
+{
+    eyecod_assert(optics_ != nullptr, "sensor without optics");
 }
 
 Image
@@ -25,18 +32,6 @@ FlatCamSensor::capture(const Image &scene) const
                   sceneRows(), sceneCols());
     Image y;
     multiplexInto(ImageConstView::of(scene), &y);
-    return y;
-}
-
-Result<Image>
-FlatCamSensor::captureFrame(const Image &scene,
-                            long frame_index) const
-{
-    Image y;
-    Status status =
-        captureFrameInto(ImageConstView::of(scene), frame_index, &y);
-    if (!status.isOk())
-        return status;
     return y;
 }
 
@@ -113,8 +108,8 @@ void
 FlatCamSensor::multiplexInto(ImageConstView scene, Image *out) const
 {
     imageToMatrixInto(scene, &scene_mat_);
-    mask_.phiL.multiplyInto(scene_mat_, &left_prod_);
-    left_prod_.multiplyInto(phi_r_t_, &measurement_);
+    optics_->mask.phiL.multiplyInto(scene_mat_, &left_prod_);
+    left_prod_.multiplyInto(optics_->phi_r_t, &measurement_);
 
     // Shot noise: model each measurement as a scaled Poisson count.
     if (noise_.shot_noise_scale > 0.0) {

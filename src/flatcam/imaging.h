@@ -5,17 +5,19 @@
  * noise plus optional Poisson shot noise), producing the multiplexed
  * measurement a real FlatCam sensor would record.
  *
- * The *Into capture path is the zero-copy spine: it takes the scene
- * as a non-owning view, runs the forward model through per-sensor
- * matrix scratch (warmed once, reused every frame), and writes the
+ * captureFrameInto() is the zero-copy spine: it takes the scene as a
+ * non-owning view, runs the forward model through per-sensor matrix
+ * scratch (warmed once, reused every frame), and writes the
  * measurement into a caller-owned image — zero heap allocations in
- * steady state. The owning APIs remain as thin shims over it.
+ * steady state. The mask and PhiR^T are immutable SensorOptics
+ * (optics.h), shared by every sensor of one mask.
  */
 
 #ifndef EYECOD_FLATCAM_IMAGING_H
 #define EYECOD_FLATCAM_IMAGING_H
 
 #include <cstdint>
+#include <memory>
 
 #include "common/image.h"
 #include "common/image_view.h"
@@ -23,6 +25,7 @@
 #include "common/status.h"
 #include "flatcam/fault_injection.h"
 #include "flatcam/mask.h"
+#include "flatcam/optics.h"
 
 namespace eyecod {
 namespace flatcam {
@@ -36,49 +39,48 @@ struct SensorNoise
 };
 
 /**
- * The FlatCam forward model y = PhiL * x * PhiR^T + e.
+ * The FlatCam forward model y = PhiL * x * PhiR^T + e: shared
+ * immutable optics plus this instance's noise stream and scratch.
  */
 class FlatCamSensor
 {
   public:
     /**
-     * @param mask separable mask (copied).
+     * @param mask separable mask (copied into private optics).
      * @param noise sensor noise parameters.
      */
     FlatCamSensor(SeparableMask mask, SensorNoise noise = {});
 
     /**
+     * @param optics forward optics, shared with any other holder.
+     * @param noise sensor noise parameters.
+     */
+    FlatCamSensor(std::shared_ptr<const SensorOptics> optics,
+                  SensorNoise noise = {});
+
+    /**
      * Capture a scene: the scene image must match the mask's scene
      * extent; returns the sensor measurement (sensor extent).
-     * Convenience wrapper over captureFrame() that panics on error
-     * and applies no fault schedule; tests and benches use it.
+     * Convenience wrapper that panics on a mis-sized scene and
+     * applies no fault schedule; tests and benches use it.
      */
     Image capture(const Image &scene) const;
 
     /**
-     * Capture one frame of a stream. A mis-sized scene returns a
-     * ShapeMismatch status (a real sensor feed can deliver garbage;
-     * the serving path must not abort). When a fault injector is
-     * attached, its schedule entry for @p frame_index is applied:
-     * a dropped frame returns FrameDropped, pixel-level faults
-     * corrupt the returned measurement in place.
-     *
-     * Thin shim over captureFrameInto().
-     */
-    Result<Image> captureFrame(const Image &scene,
-                               long frame_index) const;
-
-    /**
-     * Zero-copy captureFrame: the scene arrives as a view and the
-     * measurement lands in @p out (buffer reused across frames).
-     * Bitwise-identical to captureFrame(); on error @p out is left
-     * unspecified.
+     * Capture one frame of a stream: the scene arrives as a view and
+     * the measurement lands in @p out (buffer reused across frames).
+     * A mis-sized scene returns a ShapeMismatch status (a real
+     * sensor feed can deliver garbage; the serving path must not
+     * abort). When a fault injector is attached, its schedule entry
+     * for @p frame_index is applied: a dropped frame returns
+     * FrameDropped, pixel-level faults corrupt the measurement in
+     * place. On error @p out is left unspecified.
      */
     Status captureFrameInto(ImageConstView scene, long frame_index,
                             Image *out) const;
 
     /**
-     * Attach a fault injector consulted by captureFrame(); pass
+     * Attach a fault injector consulted by captureFrameInto(); pass
      * nullptr to detach. Not owned; must outlive the sensor's use.
      */
     void setFaultInjector(const FaultInjector *injector)
@@ -110,24 +112,22 @@ class FlatCamSensor
     Status restoreNoiseState(snap::SnapshotReader &r);
 
     /** The mask in use. */
-    const SeparableMask &mask() const { return mask_; }
+    const SeparableMask &mask() const { return optics_->mask; }
 
     /** Sensor measurement shape. */
-    int sensorRows() const { return int(mask_.phiL.rows()); }
-    int sensorCols() const { return int(mask_.phiR.rows()); }
+    int sensorRows() const { return int(mask().phiL.rows()); }
+    int sensorCols() const { return int(mask().phiR.rows()); }
 
     /** Scene shape expected by capture(). */
-    int sceneRows() const { return int(mask_.phiL.cols()); }
-    int sceneCols() const { return int(mask_.phiR.cols()); }
+    int sceneRows() const { return int(mask().phiL.cols()); }
+    int sceneCols() const { return int(mask().phiR.cols()); }
 
   private:
     /** The noisy forward model, shared by both capture paths. */
     void multiplexInto(ImageConstView scene, Image *out) const;
 
-    // detlint:allow(R12) optics config, fixed at construction.
-    SeparableMask mask_;
-    // detlint:allow(R12) cache of mask_, recomputed at construction.
-    Matrix phi_r_t_; ///< PhiR^T, cached at construction.
+    // detlint:allow(R12) immutable optics, fixed at construction.
+    std::shared_ptr<const SensorOptics> optics_;
     // detlint:allow(R12) noise model config; rng_ carries the dynamic state.
     SensorNoise noise_;
     mutable Rng rng_;
@@ -138,7 +138,7 @@ class FlatCamSensor
     // and reused afterwards. mutable for the same reason rng_ is:
     // capture is logically const, the scratch is not observable
     // state. A sensor is owned by one pipeline and never shared
-    // across threads (the RNG already forbids that).
+    // across threads (the RNG already forbids that); its optics are.
     // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix scene_mat_;  ///< x (scene as doubles).
     // detlint:allow(R12) per-frame scratch, rewarmed on first capture.

@@ -46,6 +46,8 @@ struct MaskConfig
      */
     double fabrication_noise = 0.005;
     uint64_t seed = 0x71a7ca; ///< Seed for the perturbations.
+
+    bool operator==(const MaskConfig &) const = default;
 };
 
 /**

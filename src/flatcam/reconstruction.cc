@@ -10,19 +10,15 @@ namespace flatcam {
 
 FlatCamReconstructor::FlatCamReconstructor(const SeparableMask &mask,
                                            double epsilon)
-    : epsilon_(epsilon)
+    : optics_(std::make_shared<const ReconOptics>(mask, epsilon))
 {
-    if (epsilon <= 0.0)
-        fatal("Tikhonov epsilon must be positive, got %g", epsilon);
-    Svd left = computeSvd(mask.phiL);
-    Svd right = computeSvd(mask.phiR);
-    ul_t_ = left.u.transposed();
-    vl_ = std::move(left.v);
-    sl_ = std::move(left.s);
-    ur_ = std::move(right.u);
-    vr_ = std::move(right.v);
-    sr_ = std::move(right.s);
-    vr_t_ = vr_.transposed();
+}
+
+FlatCamReconstructor::FlatCamReconstructor(
+    std::shared_ptr<const ReconOptics> optics)
+    : optics_(std::move(optics))
+{
+    eyecod_assert(optics_ != nullptr, "reconstructor without optics");
 }
 
 Image
@@ -37,53 +33,39 @@ void
 FlatCamReconstructor::reconstructInto(ImageConstView measurement,
                                       Image *out) const
 {
-    eyecod_assert(size_t(measurement.height()) == ul_t_.cols() &&
-                  size_t(measurement.width()) == ur_.rows(),
+    const ReconOptics &op = *optics_;
+    eyecod_assert(size_t(measurement.height()) == op.ul_t.cols() &&
+                  size_t(measurement.width()) == op.ur.rows(),
                   "measurement shape %dx%d != sensor extent %zux%zu",
                   measurement.height(), measurement.width(),
-                  ul_t_.cols(), ur_.rows());
+                  op.ul_t.cols(), op.ur.rows());
 
     imageToMatrixInto(measurement, &meas_mat_);
     // Yhat = Ul^T y Ur.
-    ul_t_.multiplyInto(meas_mat_, &left_prod_);
-    left_prod_.multiplyInto(ur_, &yhat_);
+    op.ul_t.multiplyInto(meas_mat_, &left_prod_);
+    left_prod_.multiplyInto(op.ur, &yhat_);
     // Element-wise Tikhonov filter.
-    for (size_t i = 0; i < yhat_.rows(); ++i) {
-        for (size_t j = 0; j < yhat_.cols(); ++j) {
-            const double sl = sl_[i];
-            const double sr = sr_[j];
-            yhat_(i, j) *= sl * sr / (sl * sl * sr * sr + epsilon_);
-        }
-    }
+    for (size_t i = 0; i < yhat_.rows(); ++i)
+        for (size_t j = 0; j < yhat_.cols(); ++j)
+            yhat_(i, j) *= op.filter(i, j);
     // X = Vl Xhat Vr^T.
-    vl_.multiplyInto(yhat_, &vl_prod_);
-    vl_prod_.multiplyInto(vr_t_, &scene_mat_);
+    op.vl.multiplyInto(yhat_, &vl_prod_);
+    vl_prod_.multiplyInto(op.vr_t, &scene_mat_);
     matrixToImageInto(scene_mat_, out);
     out->clamp(0.0f, 1.0f);
-}
-
-Result<Image>
-FlatCamReconstructor::reconstructFrame(const Image &measurement) const
-{
-    Image out;
-    Status status =
-        reconstructFrameInto(ImageConstView::of(measurement), &out);
-    if (!status.isOk())
-        return status;
-    return out;
 }
 
 Status
 FlatCamReconstructor::reconstructFrameInto(ImageConstView measurement,
                                            Image *out) const
 {
-    if (size_t(measurement.height()) != ul_t_.cols() ||
-        size_t(measurement.width()) != ur_.rows())
+    if (size_t(measurement.height()) != optics_->ul_t.cols() ||
+        size_t(measurement.width()) != optics_->ur.rows())
         return Status::error(
             ErrorCode::ShapeMismatch,
             "measurement shape %dx%d != sensor extent %zux%zu",
-            measurement.height(), measurement.width(), ul_t_.cols(),
-            ur_.rows());
+            measurement.height(), measurement.width(),
+            optics_->ul_t.cols(), optics_->ur.rows());
     for (int y = 0; y < measurement.height(); ++y) {
         for (int x = 0; x < measurement.width(); ++x) {
             if (!std::isfinite(measurement.at(y, x)))
@@ -100,12 +82,13 @@ FlatCamReconstructor::reconstructFrameInto(ImageConstView measurement,
 long long
 FlatCamReconstructor::macsPerFrame() const
 {
-    const long long kl = (long long)sl_.size();
-    const long long kr = (long long)sr_.size();
-    const long long sr_rows = (long long)ul_t_.cols();
-    const long long sc_cols = (long long)ur_.rows();
-    const long long scene_r = (long long)vl_.rows();
-    const long long scene_c = (long long)vr_.rows();
+    const ReconOptics &op = *optics_;
+    const long long kl = (long long)op.filter.rows();
+    const long long kr = (long long)op.filter.cols();
+    const long long sr_rows = (long long)op.ul_t.cols();
+    const long long sc_cols = (long long)op.ur.rows();
+    const long long scene_r = (long long)op.vl.rows();
+    const long long scene_c = (long long)op.vr_t.cols();
     // Ul^T * y, (.) * Ur, element-wise filter, Vl * Xhat, (.) * Vr^T.
     return kl * sr_rows * sc_cols + kl * sc_cols * kr + kl * kr +
            scene_r * kl * kr + scene_r * kr * scene_c;

@@ -10,56 +10,57 @@
  *   Xhat_ij = sl_i * sr_j * Yhat_ij / (sl_i^2 * sr_j^2 + eps)
  *   X      = Vl Xhat Vr^T
  *
- * The SVDs depend only on the (calibrated) mask, so they are computed
- * once at construction and each frame costs three small dense products
- * plus an element-wise filter — this is the "reconstruction" workload
- * whose weights live in the accelerator's weight GB.
+ * The SVDs and the filter depend only on the (calibrated) mask, so
+ * they are computed once into an immutable ReconOptics (optics.h)
+ * and each frame costs three small dense products plus an
+ * element-wise filter — this is the "reconstruction" workload whose
+ * weights live in the accelerator's weight GB.
  */
 
 #ifndef EYECOD_FLATCAM_RECONSTRUCTION_H
 #define EYECOD_FLATCAM_RECONSTRUCTION_H
+
+#include <memory>
 
 #include "common/image.h"
 #include "common/image_view.h"
 #include "common/matrix.h"
 #include "common/status.h"
 #include "flatcam/mask.h"
+#include "flatcam/optics.h"
 
 namespace eyecod {
 namespace flatcam {
 
 /**
- * Precomputed separable Tikhonov inverse of a FlatCam mask.
+ * Separable Tikhonov inverse of a FlatCam mask: shared immutable
+ * optics plus this instance's per-frame scratch.
  */
 class FlatCamReconstructor
 {
   public:
     /**
+     * Builds a private inverse (two SVDs).
+     *
      * @param mask the calibrated separable mask.
-     * @param epsilon Tikhonov regularization weight (> 0).
+     * @param epsilon Tikhonov regularization weight (finite, > 0).
      */
     FlatCamReconstructor(const SeparableMask &mask,
                          double epsilon = 1e-4);
 
+    /** Reads @p optics, shared with any other holder. */
+    explicit FlatCamReconstructor(
+        std::shared_ptr<const ReconOptics> optics);
+
     /**
      * Reconstruct the scene estimate from a sensor measurement.
-     * Convenience wrapper over reconstructFrame() that panics on a
-     * mis-sized measurement; tests and benches use it.
+     * Convenience wrapper over reconstructInto(); tests and benches
+     * use it.
      *
      * @param measurement sensor-extent image from FlatCamSensor.
      * @return scene-extent reconstructed image, clamped to [0, 1].
      */
     Image reconstruct(const Image &measurement) const;
-
-    /**
-     * Serving-path reconstruction: a mis-sized measurement returns a
-     * ShapeMismatch status instead of aborting, and a measurement
-     * containing non-finite values returns NonFinite (the separable
-     * inverse would smear a single NaN across the whole scene).
-     *
-     * Thin shim over reconstructFrameInto().
-     */
-    Result<Image> reconstructFrame(const Image &measurement) const;
 
     /**
      * Zero-copy reconstruction: the measurement arrives as a view
@@ -70,18 +71,22 @@ class FlatCamReconstructor
     void reconstructInto(ImageConstView measurement, Image *out) const;
 
     /**
-     * Zero-copy reconstructFrame: checked variant of
-     * reconstructInto(); on error @p out is left unspecified.
+     * Serving-path reconstruction, the checked variant of
+     * reconstructInto(): a mis-sized measurement returns a
+     * ShapeMismatch status instead of aborting, and a measurement
+     * containing non-finite values returns NonFinite (the separable
+     * inverse would smear a single NaN across the whole scene). On
+     * error @p out is left unspecified.
      */
     Status reconstructFrameInto(ImageConstView measurement,
                                 Image *out) const;
 
     /** Regularization weight in use. */
-    double epsilon() const { return epsilon_; }
+    double epsilon() const { return optics_->epsilon; }
 
     /** Scene shape produced by reconstruct(). */
-    int sceneRows() const { return int(vl_.rows()); }
-    int sceneCols() const { return int(vr_.rows()); }
+    int sceneRows() const { return int(optics_->vl.rows()); }
+    int sceneCols() const { return int(optics_->vr_t.cols()); }
 
     /**
      * Multiply-accumulate count of one reconstruction, used by the
@@ -90,19 +95,12 @@ class FlatCamReconstructor
     long long macsPerFrame() const;
 
   private:
-    double epsilon_;
-    Matrix ul_t_; ///< Ul^T (k_l x sensor_rows).
-    Matrix ur_;   ///< Ur (sensor_cols x k_r).
-    Matrix vl_;   ///< Vl (scene_rows x k_l).
-    Matrix vr_;   ///< Vr (scene_cols x k_r).
-    Matrix vr_t_; ///< Vr^T, cached at construction.
-    std::vector<double> sl_; ///< Left singular values.
-    std::vector<double> sr_; ///< Right singular values.
+    std::shared_ptr<const ReconOptics> optics_;
 
     // Per-frame reconstruction scratch, warmed on the first frame and
     // reused afterwards; not observable state, hence mutable. A
     // reconstructor is owned by one pipeline and never shared across
-    // threads.
+    // threads (its optics are).
     mutable Matrix meas_mat_;  ///< y (measurement as doubles).
     mutable Matrix left_prod_; ///< Ul^T * y.
     mutable Matrix yhat_;      ///< Ul^T y Ur, then the filter.

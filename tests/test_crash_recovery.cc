@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <string>
 
@@ -125,57 +124,6 @@ finishTrace(ServingEngine &eng,
     eng.drain();
 }
 
-/**
- * Every observable output folded into one string: hex-exact gaze
- * streams, drop logs, serialized metrics JSON, and the completion
- * log when recorded. Byte equality of two signatures is the
- * "bitwise identical" claim of the recovery contract.
- */
-std::string
-engineSignature(const ServingEngine &eng)
-{
-    std::string sig;
-    char buf[160];
-    for (int s = 0; s < eng.sessionCount(); ++s) {
-        for (const dataset::GazeVec &g : eng.sessionGazeLog(s)) {
-            std::snprintf(buf, sizeof(buf), "%a,%a,%a;", g[0], g[1],
-                          g[2]);
-            sig += buf;
-        }
-        for (const DropRecord &d : eng.sessionMetrics(s).drop_log) {
-            std::snprintf(buf, sizeof(buf), "d%ld@%lld/%lld:%s;",
-                          d.frame_index, d.arrival_us, d.dropped_us,
-                          dropReasonName(d.reason));
-            sig += buf;
-        }
-    }
-    for (const CompletionRecord &c : eng.completionLog()) {
-        std::snprintf(buf, sizeof(buf), "c%d:%ld@%lld->%lld%s%s;",
-                      c.session, c.frame_index, c.arrival_us,
-                      c.completion_us, c.redispatched ? "R" : "",
-                      c.deadline_miss ? "M" : "");
-        sig += buf;
-    }
-    PerfJson json;
-    eng.exportMetrics(json, "serving");
-    sig += json.serialize();
-    return sig;
-}
-
-void
-expectSameSignature(const std::string &a, const std::string &b,
-                    const char *what)
-{
-    if (a == b)
-        return;
-    size_t i = 0;
-    while (i < a.size() && i < b.size() && a[i] == b[i])
-        ++i;
-    ADD_FAILURE() << what << ": signatures diverge at byte " << i
-                  << ": " << a.substr(i, 48) << " vs "
-                  << b.substr(i, 48);
-}
-
 /** Chaos config: chip 1 of 2 dies mid-run and rejoins, chip 0 loses
  *  lanes — the schedule from the serving-determinism chaos test. */
 ServingConfig
@@ -208,8 +156,11 @@ chaosTraffic()
  *  A. drive the full trace uninterrupted -> reference signature;
  *  B. drive a second engine tick by tick until @p kill_when holds
  *     (the "crash point"), snapshot, and abandon it;
- *  C. restore the snapshot into a third, freshly-constructed engine
- *     and drive the *remaining* inputs -> resumed signature.
+ *  C. restore the snapshot into a third, freshly-constructed engine,
+ *     check that re-saving it reproduces the snapshot byte for byte
+ *     (and, for FlatCam sessions, that they image through the optics
+ *     A's and B's sessions already hold), and drive the *remaining*
+ *     inputs -> resumed signature.
  *
  * Scheduler ticks are state-neutral pause points (advanceTo at a
  * tick boundary leaves exactly the state a longer advance passes
@@ -260,6 +211,19 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
     const Status restored = resumed.restoreSnapshot(snapshot);
     ASSERT_TRUE(restored.isOk()) << restored.toString();
     EXPECT_EQ(resumed.now(), victim.now());
+    // Restore rebuilt every session from configuration; nothing it
+    // derived may differ from what was saved.
+    EXPECT_TRUE(resumed.saveSnapshot() == snapshot)
+        << what << ": re-saved snapshot differs from the restored one";
+    if (cfg.system.pipeline.camera == eyetrack::CameraKind::FlatCam) {
+        // A and B are alive, so the restored sessions must share their
+        // decomposition rather than build one of their own.
+        const auto optics = sessionOptics(cfg.system);
+        EXPECT_EQ(optics.use_count(),
+                  1 + 2 * (ref.sessionCount() + victim.sessionCount() +
+                           resumed.sessionCount()))
+            << what;
+    }
     DriverState resumed_state = victim_state;
     finishTrace(resumed, traffic, events, resumed_state);
     expectSameSignature(want, engineSignature(resumed), what);
@@ -325,10 +289,19 @@ TEST(CrashRecovery, ResumeIsBitwiseIdenticalKilledMidLadder)
 
 TEST(CrashRecovery, CompletionLogSurvivesRestore)
 {
-    ServingConfig cfg = chaosConfig(1);
-    cfg.record_completions = true;
-    runKillRestore(cfg, chaosTraffic(), 20000, anyChipMidBatch,
-                   "completion-log kill");
+    // FlatCam sessions add the one piece of optics state a snapshot
+    // carries: each sensor's read-noise stream position.
+    for (const core::SystemConfig &sys :
+         {servingTestSystem(), flatcamServingTestSystem()}) {
+        const bool flatcam =
+            sys.pipeline.camera == eyetrack::CameraKind::FlatCam;
+        SCOPED_TRACE(flatcam ? "flatcam" : "lens");
+        ServingConfig cfg = chaosConfig(1);
+        cfg.system = sys;
+        cfg.record_completions = true;
+        runKillRestore(cfg, chaosTraffic(), 20000, anyChipMidBatch,
+                       "completion-log kill");
+    }
 }
 
 /** A small but state-rich snapshot for the hostile-input sweeps:

@@ -190,20 +190,30 @@ TEST(FlatCamSensorFaults, CaptureFrameReportsDropsAndShapeErrors)
     cfg.drop_rate = 1.0;
     const FaultInjector inj(cfg);
     const Image scene = rampImage(32);
+    const Image small = rampImage(16);
+    Image out;
 
     // No injector: frames flow.
-    EXPECT_TRUE(sensor.captureFrame(scene, 0).ok());
+    EXPECT_TRUE(sensor
+                    .captureFrameInto(ImageConstView::of(scene), 0,
+                                      &out)
+                    .isOk());
     // Mis-sized scenes are a typed error, not an abort.
-    const Result<Image> bad = sensor.captureFrame(rampImage(16), 0);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::ShapeMismatch);
+    const Status bad =
+        sensor.captureFrameInto(ImageConstView::of(small), 0, &out);
+    ASSERT_FALSE(bad.isOk());
+    EXPECT_EQ(bad.code(), ErrorCode::ShapeMismatch);
 
     sensor.setFaultInjector(&inj);
-    const Result<Image> dropped = sensor.captureFrame(scene, 1);
-    ASSERT_FALSE(dropped.ok());
-    EXPECT_EQ(dropped.status().code(), ErrorCode::FrameDropped);
+    const Status dropped =
+        sensor.captureFrameInto(ImageConstView::of(scene), 1, &out);
+    ASSERT_FALSE(dropped.isOk());
+    EXPECT_EQ(dropped.code(), ErrorCode::FrameDropped);
     sensor.setFaultInjector(nullptr);
-    EXPECT_TRUE(sensor.captureFrame(scene, 2).ok());
+    EXPECT_TRUE(sensor
+                    .captureFrameInto(ImageConstView::of(scene), 2,
+                                      &out)
+                    .isOk());
 }
 
 } // namespace

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 
 #include "flatcam/imaging.h"
 #include "flatcam/mask.h"
 #include "flatcam/optical_interface.h"
+#include "flatcam/optics.h"
 #include "flatcam/reconstruction.h"
 
 namespace eyecod {
@@ -201,6 +204,84 @@ TEST(Reconstruction, MacsAccountingPositive)
     EXPECT_GT(rec.macsPerFrame(), 0);
     EXPECT_EQ(rec.sceneRows(), 32);
     EXPECT_EQ(rec.sceneCols(), 32);
+}
+
+TEST(ReconstructionDeathTest, RejectsNonFiniteOrNonPositiveEpsilon)
+{
+    // NaN slips past a plain `eps <= 0` test and would turn every
+    // reconstructed pixel NaN; +inf would turn every pixel 0.
+    const SeparableMask mask = makeSeparableMask(smallMask());
+    const double not_a_number = std::nan("");
+    const double infinite = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(FlatCamReconstructor(mask, not_a_number), "epsilon");
+    EXPECT_DEATH(FlatCamReconstructor(mask, infinite), "epsilon");
+    EXPECT_DEATH(FlatCamReconstructor(mask, 0.0), "epsilon");
+    EXPECT_DEATH(FlatCamReconstructor(mask, -1e-3), "epsilon");
+    EXPECT_DEATH((void)sharedOptics(smallMask(), not_a_number),
+                 "epsilon");
+    EXPECT_DEATH((void)sharedOptics(smallMask(), infinite), "epsilon");
+}
+
+TEST(ReconOptics, FilterIsTheTikhonovGainBitForBit)
+{
+    const SeparableMask mask = makeSeparableMask(smallMask());
+    const double eps = 1e-3;
+    const ReconOptics op(mask, eps);
+    const Svd left = computeSvd(mask.phiL);
+    const Svd right = computeSvd(mask.phiR);
+    ASSERT_EQ(op.filter.rows(), left.s.size());
+    ASSERT_EQ(op.filter.cols(), right.s.size());
+    for (size_t i = 0; i < op.filter.rows(); ++i) {
+        for (size_t j = 0; j < op.filter.cols(); ++j) {
+            const double sl = left.s[i];
+            const double sr = right.s[j];
+            EXPECT_EQ(op.filter(i, j),
+                      sl * sr / (sl * sl * sr * sr + eps));
+        }
+    }
+}
+
+TEST(SharedOptics, OneLiveCopyPerMaskAndEpsilon)
+{
+    MaskConfig other = smallMask();
+    other.seed ^= 1;
+    std::shared_ptr<const Optics> a = sharedOptics(smallMask(), 1e-3);
+    EXPECT_EQ(sharedOptics(smallMask(), 1e-3), a);
+    EXPECT_NE(sharedOptics(smallMask(), 2e-3), a);
+    EXPECT_NE(sharedOptics(other, 1e-3), a);
+    EXPECT_EQ(a.use_count(), 1); // the temporaries are gone
+
+    // Once the last holder lets go, the copy is released, not cached.
+    const std::weak_ptr<const Optics> watch = a;
+    const auto b = sharedOptics(other, 1e-3);
+    a.reset();
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(sharedOptics(other, 1e-3), b);
+}
+
+TEST(SharedOptics, SharedAndPrivateOpticsAgreeBitwise)
+{
+    SensorNoise nz;
+    nz.read_noise = 0.01;
+    const auto optics = sharedOptics(smallMask(), 1e-3);
+    const FlatCamSensor shared_cam(
+        std::shared_ptr<const SensorOptics>(optics, &optics->sensor),
+        nz);
+    const FlatCamReconstructor shared_rec(
+        std::shared_ptr<const ReconOptics>(optics, &optics->recon));
+    const SeparableMask mask = makeSeparableMask(smallMask());
+    const FlatCamSensor private_cam(mask, nz);
+    const FlatCamReconstructor private_rec(mask, 1e-3);
+
+    const Image scene = testScene(32);
+    const Image y = shared_cam.capture(scene);
+    EXPECT_EQ(y.data(), private_cam.capture(scene).data());
+    EXPECT_EQ(shared_rec.reconstruct(y).data(),
+              private_rec.reconstruct(y).data());
+    EXPECT_EQ(shared_rec.macsPerFrame(), private_rec.macsPerFrame());
+    EXPECT_EQ(shared_rec.epsilon(), 1e-3);
+    // The sensor and the reconstructor each hold one reference.
+    EXPECT_EQ(optics.use_count(), 3);
 }
 
 TEST(OpticalInterface, ReducesCommunication)

@@ -92,20 +92,27 @@ TEST(MemorySpine, CaptureFrameIntoMatchesCaptureFrame)
     flatcam::FlatCamSensor sensor(mask);
     const Image scene = spineScene(32);
 
-    Result<Image> shim = sensor.captureFrame(scene, 0);
-    ASSERT_TRUE(shim.ok());
-    // Same noise stream for the second capture: both paths must draw
+    Image fresh;
+    ASSERT_TRUE(
+        sensor.captureFrameInto(ImageConstView::of(scene), 0, &fresh)
+            .isOk());
+    // Same noise stream for each capture: every path must draw
     // identical read-noise samples.
     sensor.resetNoise();
     Image out(1, 1, 5.0f); // warm, wrong shape
     const Status s =
         sensor.captureFrameInto(ImageConstView::of(scene), 0, &out);
     ASSERT_TRUE(s.isOk()) << s.toString();
-    EXPECT_EQ(out.data(), shim.value().data());
+    EXPECT_EQ(out.data(), fresh.data());
+    sensor.resetNoise();
+    EXPECT_EQ(sensor.capture(scene).data(), fresh.data());
 
-    // The mis-sized-scene error is typed on both paths.
+    // A mis-sized scene is a typed error into a fresh or warm output.
     const Image bad(8, 8, 0.0f);
-    EXPECT_FALSE(sensor.captureFrame(bad, 1).ok());
+    Image unused;
+    EXPECT_FALSE(
+        sensor.captureFrameInto(ImageConstView::of(bad), 1, &unused)
+            .isOk());
     EXPECT_FALSE(
         sensor.captureFrameInto(ImageConstView::of(bad), 1, &out)
             .isOk());

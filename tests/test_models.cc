@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "models/model_zoo.h"
 #include "nn/basic_layers.h"
 
@@ -124,6 +126,17 @@ struct ModelCase
     nn::Graph (*build)(int, int, int);
     int h, w;
 };
+
+/**
+ * Prints a case by value. gtest's default dumps the raw bytes, which
+ * hold load addresses, so the discovered ctest names would change
+ * from one build (and run) to the next.
+ */
+void
+PrintTo(const ModelCase &mc, std::ostream *os)
+{
+    *os << mc.name << ' ' << mc.h << 'x' << mc.w;
+}
 
 class AllModels : public ::testing::TestWithParam<ModelCase>
 {

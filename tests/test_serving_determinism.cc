@@ -37,25 +37,8 @@ runSignature(int scheduler_threads)
     const FleetMetrics f =
         eng.runTrace(makeTraffic(servingTestRenderer(), tc));
 
-    std::string sig;
+    std::string sig = engineSignature(eng);
     char buf[160];
-    for (int s = 0; s < eng.sessionCount(); ++s) {
-        for (const dataset::GazeVec &g : eng.sessionGazeLog(s)) {
-            std::snprintf(buf, sizeof(buf), "%a,%a,%a;", g[0], g[1],
-                          g[2]);
-            sig += buf;
-        }
-        for (const DropRecord &d :
-             eng.sessionMetrics(s).drop_log) {
-            std::snprintf(buf, sizeof(buf), "d%ld@%lld/%lld:%s;",
-                          d.frame_index, d.arrival_us, d.dropped_us,
-                          dropReasonName(d.reason));
-            sig += buf;
-        }
-    }
-    PerfJson json;
-    eng.exportMetrics(json, "serving");
-    sig += json.serialize();
     std::snprintf(buf, sizeof(buf),
                   "|completed=%lld drops=%lld misses=%lld tier=%d",
                   f.completed, f.queue_drops, f.deadline_misses,
@@ -74,25 +57,8 @@ runSignature(int scheduler_threads)
 TEST(ServingDeterminism, IdenticalAcrossSchedulerThreadCounts)
 {
     const std::string one = runSignature(1);
-    const std::string two = runSignature(2);
-    const std::string eight = runSignature(8);
-    // EXPECT_EQ on the full strings would dump megabytes on a
-    // mismatch; compare equality and report only the first
-    // divergence point.
-    const bool same12 = one == two;
-    const bool same18 = one == eight;
-    EXPECT_TRUE(same12);
-    EXPECT_TRUE(same18);
-    if (!same12 || !same18) {
-        const std::string &other = !same12 ? two : eight;
-        size_t i = 0;
-        while (i < one.size() && i < other.size() &&
-               one[i] == other[i])
-            ++i;
-        ADD_FAILURE() << "signatures diverge at byte " << i << ": "
-                      << one.substr(i, 48) << " vs "
-                      << other.substr(i, 48);
-    }
+    expectSameSignature(one, runSignature(2), "1 vs 2 threads");
+    expectSameSignature(one, runSignature(8), "1 vs 8 threads");
 }
 
 TEST(ServingDeterminism, RepeatedRunsAreIdentical)
@@ -130,25 +96,7 @@ chaosSignature(int scheduler_threads)
     const FleetMetrics f =
         eng.runTrace(makeTraffic(servingTestRenderer(), tc));
 
-    std::string sig;
-    char buf[160];
-    for (int s = 0; s < eng.sessionCount(); ++s) {
-        for (const dataset::GazeVec &g : eng.sessionGazeLog(s)) {
-            std::snprintf(buf, sizeof(buf), "%a,%a,%a;", g[0], g[1],
-                          g[2]);
-            sig += buf;
-        }
-        for (const DropRecord &d :
-             eng.sessionMetrics(s).drop_log) {
-            std::snprintf(buf, sizeof(buf), "d%ld@%lld/%lld:%s;",
-                          d.frame_index, d.arrival_us, d.dropped_us,
-                          dropReasonName(d.reason));
-            sig += buf;
-        }
-    }
-    PerfJson json;
-    eng.exportMetrics(json, "serving");
-    sig += json.serialize();
+    const std::string sig = engineSignature(eng);
     // The schedule must actually exercise the failover machinery;
     // churned sessions must have left mid-run.
     EXPECT_EQ(f.chip_failures, 1);
@@ -161,22 +109,48 @@ chaosSignature(int scheduler_threads)
 TEST(ServingDeterminism, ChaosAndChurnIdenticalAcrossThreadCounts)
 {
     const std::string one = chaosSignature(1);
-    const std::string two = chaosSignature(2);
-    const std::string eight = chaosSignature(8);
-    const bool same12 = one == two;
-    const bool same18 = one == eight;
-    EXPECT_TRUE(same12);
-    EXPECT_TRUE(same18);
-    if (!same12 || !same18) {
-        const std::string &other = !same12 ? two : eight;
-        size_t i = 0;
-        while (i < one.size() && i < other.size() &&
-               one[i] == other[i])
-            ++i;
-        ADD_FAILURE() << "chaos signatures diverge at byte " << i
-                      << ": " << one.substr(i, 48) << " vs "
-                      << other.substr(i, 48);
-    }
+    expectSameSignature(one, chaosSignature(2), "chaos 1 vs 2 threads");
+    expectSameSignature(one, chaosSignature(8), "chaos 1 vs 8 threads");
+}
+
+/**
+ * FlatCam fleet: eight sessions whose sensors and reconstructors all
+ * read one shared, immutable optics object, so at 2 and 8 threads the
+ * scheduler runs several sessions' multiplex and reconstruction
+ * against it at once. Sized for TSan.
+ */
+std::string
+flatcamSignature(int scheduler_threads,
+                 const std::shared_ptr<const flatcam::Optics> &optics)
+{
+    ServingConfig cfg = quickServingConfig(2, scheduler_threads);
+    cfg.system = flatcamServingTestSystem();
+    cfg.record_gaze = true;
+    cfg.record_completions = true;
+    ServingEngine eng(cfg, servingTestEstimator(),
+                      servingTestRenderer());
+    TrafficConfig tc;
+    tc.sessions = 8;
+    tc.frames_per_session = 8;
+    const FleetMetrics f =
+        eng.runTrace(makeTraffic(servingTestRenderer(), tc));
+    EXPECT_EQ(eng.sessionCount(), 8);
+    EXPECT_GT(f.completed, 0);
+    EXPECT_EQ(optics.use_count(), 1 + 2 * eng.sessionCount())
+        << "sessions do not all hold the one shared optics object";
+    return engineSignature(eng);
+}
+
+TEST(ServingDeterminism, FlatCamSessionsIdenticalAcrossThreadCounts)
+{
+    const auto optics = sessionOptics(flatcamServingTestSystem());
+    const std::string one = flatcamSignature(1, optics);
+    expectSameSignature(one, flatcamSignature(2, optics),
+                        "flatcam 1 vs 2 threads");
+    expectSameSignature(one, flatcamSignature(8, optics),
+                        "flatcam 1 vs 8 threads");
+    // Every engine released its sessions' references.
+    EXPECT_EQ(optics.use_count(), 1);
 }
 
 } // namespace

@@ -46,8 +46,10 @@ checkHeaders(const std::string &repo_root,
              const std::vector<std::string> &roots,
              const HeaderCheckOptions &opts, int *checked)
 {
-    const fs::path base = repo_root.empty() ? fs::current_path()
-                                            : fs::path(repo_root);
+    // Absolute, because each probe TU lives in the temp directory and
+    // a quoted include resolves relative to the including file.
+    const fs::path base = fs::absolute(
+        repo_root.empty() ? fs::current_path() : fs::path(repo_root));
     std::string cxx = opts.cxx;
     if (cxx.empty()) {
         const char *env = std::getenv("CXX");

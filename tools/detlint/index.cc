@@ -143,8 +143,8 @@ class FileParser
 {
   public:
     FileParser(const std::vector<Token> &code, size_t file_idx,
-               DeclIndex *ix, std::vector<PendingDef> *pending)
-        : t(code), file(file_idx), ix(ix), pending(pending)
+               DeclIndex *index, std::vector<PendingDef> *pending_defs)
+        : t(code), file(file_idx), ix(index), pending(pending_defs)
     {
     }
 
