@@ -2,11 +2,124 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/logging.h"
 
 namespace eyecod {
+
+namespace {
+
+typedef double Vec16 __attribute__((vector_size(16)));
+typedef double Vec32 __attribute__((vector_size(32)));
+
+/**
+ * out = a * b in vectors of type V; @p out is reshaped and zero-filled
+ * first.
+ *
+ * Output columns split into panels of 8 vectors. Panels run outer and
+ * rows inner, so b's K x panel slice stays in L1 across the rows; each
+ * row's panel stays in 8 accumulator registers across the whole k
+ * loop. Every output still sums a(i,k) * b(k,j) in ascending k, from
+ * +0.0, as a separate multiply and add (matrix.cc builds with
+ * -ffp-contract=off), and skips zero a(i,k): the bits of the scalar
+ * ikj loop that the columns past the last full panel keep. Vectors go
+ * through memcpy because rows are only 8-byte aligned. Always inlined,
+ * so each caller's target attribute picks the instruction set.
+ */
+template <class V>
+[[gnu::always_inline]] inline void
+blockedProduct(const Matrix &a, const Matrix &b, Matrix *out)
+{
+    constexpr size_t kLanes = sizeof(V) / sizeof(double);
+    constexpr size_t kAcc = 8;
+    constexpr size_t kPanel = kAcc * kLanes;
+    out->resetShape(a.rows(), b.cols());
+    const size_t m = a.rows();
+    const size_t kk = a.cols();
+    const size_t n = b.cols();
+    const double *ad = a.data().data();
+    const double *bd = b.data().data();
+    double *od = out->data().data();
+    const size_t full = n - n % kPanel;
+    for (size_t j0 = 0; j0 < full; j0 += kPanel) {
+        for (size_t i = 0; i < m; ++i) {
+            const double *arow = ad + i * kk;
+            V acc[kAcc] = {};
+            for (size_t k = 0; k < kk; ++k) {
+                const double aik = arow[k];
+                if (aik == 0.0)
+                    continue;
+                const double *bpanel = bd + k * n + j0;
+                for (size_t v = 0; v < kAcc; ++v) {
+                    V bv;
+                    std::memcpy(&bv, bpanel + v * kLanes, sizeof(V));
+                    acc[v] += aik * bv;
+                }
+            }
+            double *opanel = od + i * n + j0;
+            for (size_t v = 0; v < kAcc; ++v)
+                std::memcpy(opanel + v * kLanes, &acc[v], sizeof(V));
+        }
+    }
+    if (full == n)
+        return;
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t k = 0; k < kk; ++k) {
+            const double aik = ad[i * kk + k];
+            if (aik == 0.0)
+                continue;
+            const double *brow = bd + k * n;
+            double *orow = od + i * n;
+            for (size_t j = full; j < n; ++j)
+                orow[j] += aik * brow[j];
+        }
+    }
+}
+
+} // namespace
+
+namespace detail {
+
+void
+multiplyVec16(const Matrix &a, const Matrix &b, Matrix *out)
+{
+    blockedProduct<Vec16>(a, b, out);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+__attribute__((target("avx2"))) void
+multiplyVec32(const Matrix &a, const Matrix &b, Matrix *out)
+{
+    blockedProduct<Vec32>(a, b, out);
+}
+
+bool
+cpuHasAvx2()
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
+
+#else
+
+void
+multiplyVec32(const Matrix &, const Matrix &, Matrix *)
+{
+    panic("multiplyVec32: no AVX2 on this target");
+}
+
+bool
+cpuHasAvx2()
+{
+    return false;
+}
+
+#endif
+
+} // namespace detail
 
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill)
@@ -45,22 +158,14 @@ Matrix::multiplyInto(const Matrix &other, Matrix *out) const
     eyecod_assert(cols_ == other.rows_,
                   "matrix product shape mismatch %zux%zu * %zux%zu",
                   rows_, cols_, other.rows_, other.cols_);
-    out->resetShape(rows_, other.cols_);
-    // ikj loop order keeps the inner loop contiguous in both the
-    // right operand and the output. The zero-skip relies on
-    // resetShape zero-filling the output, exactly like a fresh
-    // Matrix.
-    for (size_t i = 0; i < rows_; ++i) {
-        for (size_t k = 0; k < cols_; ++k) {
-            const double aik = data_[i * cols_ + k];
-            if (aik == 0.0)
-                continue;
-            const double *brow = &other.data_[k * other.cols_];
-            double *orow = &out->data_[i * other.cols_];
-            for (size_t j = 0; j < other.cols_; ++j)
-                orow[j] += aik * brow[j];
-        }
-    }
+    // The kernel zero-fills out before it reads the operands, so an
+    // aliased call would multiply zeros.
+    eyecod_assert(out != this && out != &other,
+                  "matrix product output aliases an operand");
+    static const auto kernel = detail::cpuHasAvx2()
+                                   ? &detail::multiplyVec32
+                                   : &detail::multiplyVec16;
+    kernel(*this, other, out);
 }
 
 Matrix
@@ -74,6 +179,7 @@ Matrix::transposed() const
 void
 Matrix::transposedInto(Matrix *out) const
 {
+    eyecod_assert(out != this, "matrix transpose output aliases it");
     out->resetShape(cols_, rows_);
     for (size_t i = 0; i < rows_; ++i)
         for (size_t j = 0; j < cols_; ++j)

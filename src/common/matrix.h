@@ -65,7 +65,13 @@ class Matrix
      * Matrix product this * other written into @p out, reusing
      * @p out's buffer (zero allocations in steady state).
      * Bitwise-identical to multiply(). @p out must not alias either
-     * operand.
+     * operand (checked).
+     *
+     * Each output sums this(i,k) * other(k,j) in ascending k, from
+     * +0.0, as a separate multiply and add, and skips every zero
+     * this(i,k), so the bits do not depend on the SIMD width: the
+     * kernel runs at 32-byte vectors where the CPU has AVX2 and at
+     * 16-byte vectors elsewhere, picked once per process.
      */
     void multiplyInto(const Matrix &other, Matrix *out) const;
 
@@ -74,7 +80,8 @@ class Matrix
 
     /**
      * Transpose into @p out, reusing @p out's buffer.
-     * Bitwise-identical to transposed(). @p out must not alias this.
+     * Bitwise-identical to transposed(). @p out must not alias this
+     * (checked).
      */
     void transposedInto(Matrix *out) const;
 
@@ -98,6 +105,26 @@ class Matrix
     size_t cols_ = 0;
     std::vector<double> data_;
 };
+
+namespace detail {
+
+/**
+ * The product kernel of Matrix::multiplyInto at 16-byte vectors: SSE2
+ * on x86-64, and the only width on other targets. Shapes and aliasing
+ * are unchecked; exposed so tests can compare each width's bits.
+ */
+void multiplyVec16(const Matrix &a, const Matrix &b, Matrix *out);
+
+/**
+ * The same kernel at 32-byte AVX2 vectors. Call it only when
+ * cpuHasAvx2().
+ */
+void multiplyVec32(const Matrix &a, const Matrix &b, Matrix *out);
+
+/** True on an x86 CPU with AVX2; false on every other target. */
+bool cpuHasAvx2();
+
+} // namespace detail
 
 /**
  * Thin singular value decomposition A = U * diag(S) * V^T.

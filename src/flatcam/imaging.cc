@@ -144,14 +144,6 @@ imageToMatrixInto(ImageConstView img, Matrix *out)
             (*out)(size_t(y), size_t(x)) = img.at(y, x);
 }
 
-Image
-matrixToImage(const Matrix &m)
-{
-    Image img;
-    matrixToImageInto(m, &img);
-    return img;
-}
-
 void
 matrixToImageInto(const Matrix &m, Image *out)
 {

@@ -153,10 +153,10 @@ Matrix imageToMatrix(const Image &img);
 /** Convert a view to a Matrix (double), reusing @p out's buffer. */
 void imageToMatrixInto(ImageConstView img, Matrix *out);
 
-/** Convert a Matrix to an Image (float), without rescaling. */
-Image matrixToImage(const Matrix &m);
-
-/** Matrix-to-Image conversion reusing @p out's buffer. */
+/**
+ * Convert a Matrix to an Image (float), without rescaling, reusing
+ * @p out's buffer.
+ */
 void matrixToImageInto(const Matrix &m, Image *out);
 
 } // namespace flatcam

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <limits>
 #include <memory>
 
+#include "common/snapshot.h"
+#include "eyetrack/pipeline.h"
 #include "flatcam/imaging.h"
 #include "flatcam/mask.h"
 #include "flatcam/optical_interface.h"
@@ -282,6 +286,38 @@ TEST(SharedOptics, SharedAndPrivateOpticsAgreeBitwise)
     EXPECT_EQ(shared_rec.epsilon(), 1e-3);
     // The sensor and the reconstructor each hold one reference.
     EXPECT_EQ(optics.use_count(), 3);
+}
+
+/** FNV-1a hash of an image's pixel bits. */
+uint64_t
+hashBits(const Image &img)
+{
+    return snap::fnv1a(
+        reinterpret_cast<const uint8_t *>(img.data().data()),
+        img.size() * sizeof(float));
+}
+
+TEST(FlatCamGolden, PipelineCaptureAndReconstructionArePinned)
+{
+    // Every other determinism test compares two runs of one binary,
+    // so a toolchain change that moves every bit (FMA contraction in
+    // the matrix kernel, another standard library's
+    // normal_distribution for the read noise) passes them all. These
+    // FNV-1a hashes of one scene's measurement and reconstruction,
+    // through the pipeline's default optics and noise, are the
+    // values of x86-64 libstdc++/glibc.
+    const eyetrack::PipelineConfig cfg;
+    const auto optics = sharedOptics(eyetrack::flatcamMaskConfig(cfg),
+                                     cfg.recon_epsilon);
+    const FlatCamSensor cam(
+        std::shared_ptr<const SensorOptics>(optics, &optics->sensor),
+        cfg.sensor_noise);
+    const FlatCamReconstructor rec(
+        std::shared_ptr<const ReconOptics>(optics, &optics->recon));
+    const Image y = cam.capture(testScene(cfg.scene_size));
+    const Image x = rec.reconstruct(y);
+    EXPECT_EQ(hashBits(y), 0x38fcf06255344ab1u) << std::hex << hashBits(y);
+    EXPECT_EQ(hashBits(x), 0x599a24be56a5212du) << std::hex << hashBits(x);
 }
 
 TEST(OpticalInterface, ReducesCommunication)

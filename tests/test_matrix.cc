@@ -7,9 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "eyetrack/pipeline.h"
+#include "flatcam/optics.h"
 
 namespace eyecod {
 namespace {
@@ -22,6 +28,188 @@ randomMatrix(size_t rows, size_t cols, uint64_t seed)
     for (double &v : m.data())
         v = rng.gaussian();
     return m;
+}
+
+/**
+ * The scalar ikj product, written independently of the kernel: each
+ * output sums a(i,k) * b(k,j) in ascending k, from +0.0, skipping
+ * zero a(i,k). This file builds with -ffp-contract=off, as matrix.cc
+ * does, so neither side fuses the multiply and add.
+ */
+Matrix
+referenceProduct(const Matrix &a, const Matrix &b)
+{
+    Matrix out(a.rows(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i) {
+        for (size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            if (aik == 0.0)
+                continue;
+            for (size_t j = 0; j < b.cols(); ++j)
+                out(i, j) += aik * b(k, j);
+        }
+    }
+    return out;
+}
+
+bool
+sameBits(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           (x.size() == 0 ||
+            std::memcmp(x.data().data(), y.data().data(),
+                        x.size() * sizeof(double)) == 0);
+}
+
+struct ProductCase
+{
+    std::string name;
+    Matrix a;
+    Matrix b;
+};
+
+/** A gaussian matrix with about a quarter of its entries zero. */
+Matrix
+sparseMatrix(size_t rows, size_t cols, uint64_t seed)
+{
+    Matrix m = randomMatrix(rows, cols, seed);
+    Rng rng(seed + 1);
+    for (double &v : m.data())
+        if (rng.uniform() < 0.25)
+            v = 0.0;
+    return m;
+}
+
+/** The six products of one FlatCam frame, on the pipeline's optics. */
+void
+addFlatCamCases(std::vector<ProductCase> *cases)
+{
+    const eyetrack::PipelineConfig cfg;
+    const auto optics = flatcam::sharedOptics(
+        eyetrack::flatcamMaskConfig(cfg), cfg.recon_epsilon);
+    const flatcam::SensorOptics &s = optics->sensor;
+    const flatcam::ReconOptics &r = optics->recon;
+    Matrix scene(size_t(cfg.scene_size), size_t(cfg.scene_size));
+    Rng rng(17);
+    for (double &v : scene.data())
+        v = rng.uniform();
+    const Matrix left = referenceProduct(s.mask.phiL, scene);
+    const Matrix y = referenceProduct(left, s.phi_r_t);
+    const Matrix ul_y = referenceProduct(r.ul_t, y);
+    Matrix yhat = referenceProduct(ul_y, r.ur);
+    for (size_t i = 0; i < yhat.rows(); ++i)
+        for (size_t j = 0; j < yhat.cols(); ++j)
+            yhat(i, j) *= r.filter(i, j);
+    const Matrix vl_yhat = referenceProduct(r.vl, yhat);
+    cases->push_back({"PhiL * x", s.mask.phiL, scene});
+    cases->push_back({"(PhiL x) * PhiR^T", left, s.phi_r_t});
+    cases->push_back({"Ul^T * y", r.ul_t, y});
+    cases->push_back({"(Ul^T y) * Ur", ul_y, r.ur});
+    cases->push_back({"Vl * Yhat", r.vl, yhat});
+    cases->push_back({"(Vl Yhat) * Vr^T", vl_yhat, r.vr_t});
+}
+
+/**
+ * Zero and -0.0 left entries facing NaN and +-Inf right entries. Each
+ * output meets at most one NaN: which of two NaNs a sum keeps is the
+ * hardware's operand-order choice, which C++ leaves to the compiler.
+ */
+ProductCase
+nonFiniteCase()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Matrix b = randomMatrix(6, 37, 41);
+    for (size_t j = 0; j < b.cols(); ++j) {
+        b(1, j) = inf;
+        b(2, j) = -inf;
+        b(3, j) = nan;
+        b(5, j) = -0.0;
+    }
+    // Rows: all specials skipped through 0.0, then through -0.0;
+    // +Inf; -Inf; Inf - Inf; NaN; a lone -0.0 product.
+    const double rows[7][6] = {
+        {0.5, 0.0, 0.0, 0.0, -1.5, 2.0},
+        {0.5, -0.0, -0.0, -0.0, -1.5, 2.0},
+        {0.5, 3.0, -0.0, 0.0, -1.5, 2.0},
+        {0.5, 0.0, 3.0, -0.0, -1.5, 2.0},
+        {0.5, 3.0, 3.0, 0.0, -1.5, 2.0},
+        {0.5, -0.0, 0.0, 3.0, -1.5, 2.0},
+        {0.0, 0.0, -0.0, 0.0, 0.0, 2.0},
+    };
+    Matrix a(7, 6);
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t k = 0; k < a.cols(); ++k)
+            a(i, k) = rows[i][k];
+    return {"non-finite right entries", a, b};
+}
+
+std::vector<ProductCase>
+kernelCases()
+{
+    std::vector<ProductCase> cases;
+    addFlatCamCases(&cases);
+    // Column tails on both sides of each width's 16- and 32-column
+    // panels.
+    for (size_t n : {1, 3, 15, 17, 31, 33, 161})
+        cases.push_back({"tail n=" + std::to_string(n),
+                         sparseMatrix(9, 13, n),
+                         randomMatrix(13, n, 100 + n)});
+    // Every mix of 0, 1 and 37 (a panel plus a tail) for M, K and N.
+    for (size_t m : {0, 1, 37})
+        for (size_t k : {0, 1, 37})
+            for (size_t n : {0, 1, 37})
+                cases.push_back({"shape " + std::to_string(m) + "x" +
+                                     std::to_string(k) + "x" +
+                                     std::to_string(n),
+                                 sparseMatrix(m, k, m + k),
+                                 randomMatrix(k, n, k + n)});
+    cases.push_back(nonFiniteCase());
+    // Subnormal left entries, and subnormal products of normal ones.
+    cases.push_back({"subnormal left",
+                     randomMatrix(11, 40, 51).scaled(1e-310),
+                     randomMatrix(40, 35, 52)});
+    cases.push_back({"subnormal products",
+                     sparseMatrix(11, 40, 53).scaled(1e-160),
+                     randomMatrix(40, 35, 54).scaled(1e-150)});
+    return cases;
+}
+
+void
+expectReferenceBits(void (*kernel)(const Matrix &, const Matrix &,
+                                   Matrix *))
+{
+    Matrix out; // reused across shapes, as the frame path does
+    for (const ProductCase &c : kernelCases()) {
+        kernel(c.a, c.b, &out);
+        EXPECT_TRUE(sameBits(out, referenceProduct(c.a, c.b))) << c.name;
+    }
+}
+
+TEST(MatrixKernel, Vec16MatchesScalarReferenceBitForBit)
+{
+    expectReferenceBits(&detail::multiplyVec16);
+}
+
+TEST(MatrixKernel, Vec32MatchesScalarReferenceBitForBit)
+{
+    if (!detail::cpuHasAvx2())
+        GTEST_SKIP() << "this CPU has no AVX2";
+    expectReferenceBits(&detail::multiplyVec32);
+}
+
+TEST(MatrixDeathTest, ProductOrTransposeIntoAnOperandIsRejected)
+{
+    // resetShape zero-fills the output first, so an aliased call
+    // would silently read zeros.
+    Matrix a(2, 2);
+    a(0, 0) = 1; a(0, 1) = 2;
+    a(1, 0) = 3; a(1, 1) = 4;
+    Matrix b = a;
+    EXPECT_DEATH(a.multiplyInto(b, &a), "aliases");
+    EXPECT_DEATH(a.multiplyInto(b, &b), "aliases");
+    EXPECT_DEATH(a.multiplyInto(a, &a), "aliases");
+    EXPECT_DEATH(a.transposedInto(&a), "aliases");
 }
 
 TEST(Matrix, IdentityMultiplication)

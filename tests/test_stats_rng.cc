@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -73,6 +76,50 @@ TEST(Rng, SeedsDiffer)
         if (a.uniform() == b.uniform())
             ++same;
     EXPECT_LT(same, 5);
+}
+
+TEST(Rng, DrawsMatchPinnedLiterals)
+{
+    // Every other determinism test compares two runs of one binary,
+    // so a toolchain change that moves every draw (another standard
+    // library's normal_distribution, say) passes them all. These are
+    // the first draws of x86-64 libstdc++/glibc. Seed 0xcafe is the
+    // FlatCam sensor's default noise seed.
+    struct Pinned
+    {
+        uint64_t seed;
+        double gaussian[8];
+        double uniform[8];
+    };
+    const Pinned pinned[] = {
+        {1,
+         {-0x1.8c1da014dda1p-2, 0x1.5fa75918ca314p-1, -0x1.971d689089fddp-1,
+          0x1.f01d3e119ca68p+0, 0x1.e15bc7159ee3dp-4, -0x1.4bec5ef0151f1p-1,
+          -0x1.862918a96f613p+0, 0x1.d3d936bb14019p-1},
+         {0x1.122deafddb438p-3, 0x1.175c928118c7dp-3, 0x1.ce0b479deb991p-2,
+          0x1.5876015e4d702p-6, 0x1.6751d5cbb3f1ap-2, 0x1.d29d85a57326dp-1,
+          0x1.e20cd8d6456f4p-2, 0x1.30d84f91bf14bp-4}},
+        {0xcafe,
+         {0x1.4d5c2e70cca95p-2, 0x1.335e62b154cc5p+0, 0x1.3f05822a97da9p+0,
+          0x1.9c5f54e5c58c9p-2, -0x1.40d52e54540a2p-3, 0x1.0ee3fe6de735fp-1,
+          -0x1.73f3aafd75408p-1, 0x1.9e62155264185p-3},
+         {0x1.c5d20c5da6516p-1, 0x1.b807f892b4ac6p-4, 0x1.c92213235ce51p-4,
+          0x1.7602a01863ef7p-1, 0x1.941f5892f59b2p-1, 0x1.02d2a057ed791p-5,
+          0x1.24b5926803387p-1, 0x1.abbd451a18777p-1}},
+    };
+    for (const Pinned &p : pinned) {
+        Rng g(p.seed), u(p.seed);
+        for (int i = 0; i < 8; ++i) {
+            const double gd = g.gaussian();
+            const double ud = u.uniform();
+            EXPECT_EQ(gd, p.gaussian[i]) << "seed " << p.seed << " draw "
+                                         << i << ": " << std::hexfloat
+                                         << gd;
+            EXPECT_EQ(ud, p.uniform[i]) << "seed " << p.seed << " draw "
+                                        << i << ": " << std::hexfloat
+                                        << ud;
+        }
+    }
 }
 
 TEST(Rng, UniformIntInRange)
