@@ -11,20 +11,39 @@ SnapshotWriter::str(const std::string &s)
         u8(uint8_t(c));
 }
 
-Status
-SnapshotReader::corrupt(const char *what) const
+void
+SnapshotWriter::field(const Rect &rect)
 {
-    failed_ = true;
-    return Status::error(ErrorCode::CorruptSnapshot,
-                         "snapshot corrupt at byte %zu/%zu: %s", pos_,
-                         size_, what);
+    field(rect.x);
+    field(rect.y);
+    field(rect.width);
+    field(rect.height);
+}
+
+void
+SnapshotWriter::field(const Image &img)
+{
+    field(img.height());
+    field(img.width());
+    for (float px : img.data())
+        field(px);
+}
+
+const Status &
+SnapshotReader::corrupt(const char *what)
+{
+    if (ok())
+        status_ = Status::error(ErrorCode::CorruptSnapshot,
+                                "snapshot corrupt at byte %zu/%zu: %s",
+                                pos_, size_, what);
+    return status_;
 }
 
 Result<uint8_t>
 SnapshotReader::u8()
 {
-    if (failed_)
-        return corrupt("reader already failed");
+    if (!ok())
+        return status_;
     if (pos_ >= size_)
         return corrupt("truncated u8");
     return data_[pos_++];
@@ -44,8 +63,8 @@ SnapshotReader::b()
 Result<uint32_t>
 SnapshotReader::u32()
 {
-    if (failed_)
-        return corrupt("reader already failed");
+    if (!ok())
+        return status_;
     if (size_ - pos_ < 4)
         return corrupt("truncated u32");
     uint32_t v = 0;
@@ -58,8 +77,8 @@ SnapshotReader::u32()
 Result<uint64_t>
 SnapshotReader::u64()
 {
-    if (failed_)
-        return corrupt("reader already failed");
+    if (!ok())
+        return status_;
     if (size_ - pos_ < 8)
         return corrupt("truncated u64");
     uint64_t v = 0;
@@ -141,13 +160,46 @@ SnapshotReader::expectTag(uint32_t want)
     if (!got.ok())
         return got.status();
     if (got.value() != want) {
-        failed_ = true;
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "snapshot fence mismatch: want 0x%08x got "
-                             "0x%08x at byte %zu",
-                             want, got.value(), pos_);
+        status_ = Status::error(ErrorCode::CorruptSnapshot,
+                                "snapshot fence mismatch: want 0x%08x got "
+                                "0x%08x at byte %zu",
+                                want, got.value(), pos_);
+        return status_;
     }
     return Status::ok();
+}
+
+void
+SnapshotReader::field(Rect &rect)
+{
+    field(rect.x);
+    field(rect.y);
+    field(rect.width);
+    field(rect.height);
+}
+
+void
+SnapshotReader::field(Image &img, int max_extent)
+{
+    int h = 0, w = 0;
+    field(h);
+    field(w);
+    if (!ok())
+        return;
+    if (h < 0 || w < 0 || h > max_extent || w > max_extent) {
+        corrupt("image extent outside [0, max_extent]");
+        return;
+    }
+    // Every pixel is overwritten below; reject before sizing storage
+    // from untrusted extents larger than the remaining bytes could
+    // ever fill (4 bytes per pixel).
+    if (size_t(h) * size_t(w) * 4 > remaining()) {
+        corrupt("image body exceeds remaining bytes");
+        return;
+    }
+    img.resetShape(h, w);
+    for (float &px : img.data())
+        field(px);
 }
 
 Status
@@ -227,66 +279,30 @@ checkSeal(const uint8_t *data, size_t size)
 void
 writeRect(SnapshotWriter &w, const Rect &rect)
 {
-    w.i32(rect.x);
-    w.i32(rect.y);
-    w.i32(rect.width);
-    w.i32(rect.height);
+    w.field(rect);
 }
 
 Result<Rect>
 readRect(SnapshotReader &r)
 {
-    auto x = r.i32();
-    auto y = r.i32();
-    auto width = r.i32();
-    auto height = r.i32();
-    if (!height.ok())
-        return height.status();
     Rect rect;
-    rect.x = x.value();
-    rect.y = y.value();
-    rect.width = width.value();
-    rect.height = height.value();
+    r.field(rect);
+    if (!r.status().isOk())
+        return r.status();
     return rect;
 }
 
 void
 writeImage(SnapshotWriter &w, const Image &img)
 {
-    w.i32(img.height());
-    w.i32(img.width());
-    for (float px : img.data())
-        w.f32(px);
+    w.field(img);
 }
 
 Status
 readImage(SnapshotReader &r, Image *out, int max_extent)
 {
-    auto height = r.i32();
-    auto width = r.i32();
-    if (!width.ok())
-        return width.status();
-    const int h = height.value();
-    const int w = width.value();
-    if (h < 0 || w < 0 || h > max_extent || w > max_extent)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "image extent %dx%d outside [0, %d]", h, w,
-                             max_extent);
-    // Every pixel is overwritten below; reject before sizing storage
-    // from untrusted extents larger than the remaining bytes could
-    // ever fill (4 bytes per pixel).
-    if (size_t(h) * size_t(w) * 4 > r.remaining())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "image body %dx%d exceeds remaining bytes",
-                             h, w);
-    out->resetShape(h, w);
-    for (float &px : out->data()) {
-        auto v = r.f32();
-        if (!v.ok())
-            return v.status();
-        px = v.value();
-    }
-    return Status::ok();
+    r.field(*out, max_extent);
+    return r.status();
 }
 
 } // namespace snap

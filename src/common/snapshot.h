@@ -4,26 +4,38 @@
  *
  * The serving engine checkpoints its whole live state graph (engine,
  * sessions, queues, pipelines, sensor RNG streams) so a crashed
- * scheduler can restore and resume **bitwise identically** — and so
- * session migration (ROADMAP item 4) can serialize a session over the
- * wire. Two rules govern the format:
+ * scheduler can restore and resume **bitwise identically**; the same
+ * format would carry a session between engines if session migration
+ * (parked in ROADMAP.md) is ever built. Three rules govern the format:
  *
  *  1. **Field-wise only.** Every value is encoded one field at a time
- *     through the typed put/get calls below. Whole-struct memcpy /
+ *     through the typed calls below. Whole-struct memcpy /
  *     reinterpret_cast serialization is banned (detlint R9
  *     raw-memcpy-serialize): struct layout, padding, and endianness
  *     are not part of the format.
- *  2. **Never trust input.** Decoding returns typed
- *     `Result<T>` / `Status` values — every read bounds-checks the
- *     remaining byte count, every container count is validated
- *     against a caller-supplied maximum, and every component is
- *     fenced by a tag word. A truncated or bit-flipped snapshot
- *     yields `ErrorCode::CorruptSnapshot` (or `VersionMismatch` for a
- *     foreign version), never a crash or UB.
+ *  2. **One field list per type.** Each snapshotted type has a single
+ *     `template <class Self, class Ar> static void fields(Self &,
+ *     Ar &)` that both SnapshotWriter and SnapshotReader walk (the
+ *     archive idiom), so save and restore cannot drift apart. The
+ *     writer walks a const object (Self = const T); the reader a
+ *     mutable one. Restore-only steps sit in one
+ *     `if constexpr (Ar::kLoading)` per list.
+ *  3. **Never trust input.** Decoding is bounds-checked on every read;
+ *     container counts are validated against a caller-supplied
+ *     maximum *and* the bytes that remain, before anything is sized
+ *     from them; every component is fenced by a tag word. The reader
+ *     latches its first error (status()), so a truncated or
+ *     bit-flipped snapshot yields `ErrorCode::CorruptSnapshot` (or
+ *     `VersionMismatch` for a foreign version) naming the first
+ *     thing that went wrong.
  *
  * Layout: a snapshot is a flat byte string. Scalars are fixed-width
  * little-endian; floating point travels as its IEEE-754 bit pattern
- * (bit_cast, not memcpy). Strings and byte blobs are u32
+ * (bit_cast, not memcpy). An integral field travels at its C++ type's
+ * width (int as i32, long long as i64); where the wire type differs
+ * from that — enums, and size_t, whose width is platform-dependent —
+ * the list spells it: snap::wire<W>(x) for a decoded field, a cast
+ * for an expect()ed one. Strings are u32
  * length-prefixed. Components write `u32 tag` first so a reader that
  * drifts out of sync fails fast at the next fence.
  */
@@ -31,9 +43,13 @@
 #ifndef EYECOD_COMMON_SNAPSHOT_H
 #define EYECOD_COMMON_SNAPSHOT_H
 
+#include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/image.h"
@@ -48,6 +64,30 @@ constexpr uint32_t kSnapshotMagic = 0x45594353u;
 /** Current format version. Bump on any layout change. */
 constexpr uint32_t kSnapshotVersion = 1;
 
+/** A field that travels as wire type @p W; see wire(). */
+template <class W, class T>
+struct Wire
+{
+    T &ref;
+};
+
+/**
+ * Spell a field's wire type where it differs from its C++ type's
+ * natural width: `ar.field(snap::wire<uint8_t>(rec.reason))`.
+ */
+template <class W, class T>
+Wire<W, T>
+wire(T &x)
+{
+    return {x};
+}
+
+/** @p T has a snapshot field list that archive @p Ar can walk. */
+template <class T, class Ar>
+concept HasFields = requires(T &v, Ar &ar) {
+    std::remove_const_t<T>::fields(v, ar);
+};
+
 /**
  * Append-only snapshot encoder. Infallible: the writer owns its
  * buffer and grows it as needed (snapshots are taken off the per-
@@ -56,6 +96,9 @@ constexpr uint32_t kSnapshotVersion = 1;
 class SnapshotWriter
 {
   public:
+    /** Field lists branch on this for restore-only steps. */
+    static constexpr bool kLoading = false;
+
     /** Append one byte. */
     void
     u8(uint8_t v)
@@ -102,6 +145,104 @@ class SnapshotWriter
     /** Append a component fence tag (reader must match it). */
     void tag(uint32_t t) { u32(t); }
 
+    // Archive face, walked by the field lists. Each field() has a
+    // SnapshotReader twin that decodes exactly what it encodes.
+
+    void field(bool v) { b(v); }
+    void field(float v) { f32(v); }
+    void field(double v) { f64(v); }
+
+    /** An integer at its type's width (u8, 32- or 64-bit). */
+    template <std::integral T>
+    void
+    field(T v)
+    {
+        static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8,
+                      "no wire type of this width");
+        if constexpr (sizeof(T) == 1)
+            u8(static_cast<uint8_t>(v));
+        else if constexpr (sizeof(T) == 4)
+            u32(static_cast<uint32_t>(v));
+        else
+            u64(static_cast<uint64_t>(v));
+    }
+
+    /** A string; @p max_len bounds the reader only. */
+    void field(const std::string &s, size_t /*max_len*/) { str(s); }
+
+    /** A Rect as x, y, width, height. */
+    void field(const Rect &rect);
+
+    /** An Image as height, width, then the pixels row-major. */
+    void field(const Image &img);
+
+    template <class W, class T>
+    void
+    field(Wire<W, T> x)
+    {
+        field(static_cast<W>(x.ref));
+    }
+
+    template <class T, size_t N>
+    void
+    field(const std::array<T, N> &a)
+    {
+        for (const T &x : a)
+            field(x);
+    }
+
+    /** A presence byte, then the value when present. */
+    template <class T>
+    void
+    field(const std::optional<T> &o)
+    {
+        b(o.has_value());
+        if (o)
+            field(*o);
+    }
+
+    /** A component with its own field list. */
+    template <class T>
+        requires HasFields<const T, SnapshotWriter>
+    void
+    field(const T &v)
+    {
+        T::fields(v, *this);
+    }
+
+    /** A configuration or fingerprint field the reader compares with
+     *  its live value instead of decoding. */
+    template <class T>
+    void
+    expect(const T &live)
+    {
+        field(live);
+    }
+
+    /** A range rule on decoded values; checked by the reader only. */
+    void check(bool /*cond*/, const char * /*what*/) {}
+
+    /**
+     * A counted container: u64 element count, then every element
+     * through @p each. @p max bounds the reader's count.
+     */
+    template <class Vec, class Each>
+    void
+    items(const Vec &v, uint64_t /*max*/, Each each)
+    {
+        u64(uint64_t(v.size()));
+        for (const auto &x : v)
+            each(x);
+    }
+
+    /** items() with each element encoded by field(). */
+    template <class Vec>
+    void
+    items(const Vec &v, uint64_t max)
+    {
+        items(v, max, [this](const auto &x) { field(x); });
+    }
+
     /** The encoded bytes so far. */
     const std::vector<uint8_t> &bytes() const { return bytes_; }
 
@@ -114,13 +255,18 @@ class SnapshotWriter
 
 /**
  * Bounds-checked snapshot decoder over a borrowed byte range. Every
- * accessor either returns a value or a typed CorruptSnapshot error;
- * after the first failure the reader stays failed (reads past the
- * end keep erroring, they never wrap or fault).
+ * accessor either returns a value or a typed CorruptSnapshot error.
+ * The first failure latches: status() keeps reporting it, later
+ * reads return it without consuming bytes, and the archive face
+ * (field, expect, check, items) becomes a no-op, so a field list
+ * runs to its end and the caller checks status() once.
  */
 class SnapshotReader
 {
   public:
+    /** Field lists branch on this for restore-only steps. */
+    static constexpr bool kLoading = true;
+
     SnapshotReader(const uint8_t *data, size_t size)
         : data_(data), size_(size)
     {
@@ -171,6 +317,145 @@ class SnapshotReader
     /** Read a fence tag and require it to equal @p want. */
     Status expectTag(uint32_t want);
 
+    /** Archive face: a fence tag (expectTag()). */
+    void
+    tag(uint32_t want)
+    {
+        (void)expectTag(want);
+    }
+
+    void field(bool &v) { take(b(), v); }
+    void field(float &v) { take(f32(), v); }
+    void field(double &v) { take(f64(), v); }
+
+    template <std::integral T>
+    void
+    field(T &v)
+    {
+        static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8,
+                      "no wire type of this width");
+        if constexpr (sizeof(T) == 1)
+            take(u8(), v);
+        else if constexpr (sizeof(T) == 4)
+            take(u32(), v);
+        else
+            take(u64(), v);
+    }
+
+    void field(std::string &s, size_t max_len) { take(str(max_len), s); }
+
+    void field(Rect &rect);
+
+    /**
+     * Decode an Image (storage reused when the capacity fits).
+     * Extents are validated against @p max_extent per axis, and the
+     * pixels against the remaining bytes, before any allocation is
+     * sized from snapshot input.
+     */
+    void field(Image &img, int max_extent = 1 << 14);
+
+    template <class W, class T>
+    void
+    field(Wire<W, T> x)
+    {
+        W v{};
+        field(v);
+        if (ok())
+            x.ref = static_cast<T>(v);
+    }
+
+    template <class T, size_t N>
+    void
+    field(std::array<T, N> &a)
+    {
+        for (T &x : a)
+            field(x);
+    }
+
+    template <class T>
+    void
+    field(std::optional<T> &o)
+    {
+        bool has = false;
+        field(has);
+        if (!ok())
+            return;
+        if (!has) {
+            o.reset();
+            return;
+        }
+        T v{};
+        field(v);
+        if (ok())
+            o = v;
+    }
+
+    template <class T>
+        requires HasFields<T, SnapshotReader>
+    void
+    field(T &v)
+    {
+        T::fields(v, *this);
+    }
+
+    /** Decode a field and require it to equal @p live. */
+    template <class T>
+    void
+    expect(const T &live)
+    {
+        T got = live;
+        field(got);
+        if (ok() && !(got == live))
+            corrupt("field differs from this instance's configuration");
+    }
+
+    /** Fail as corrupt unless @p cond holds (a decoded value's range). */
+    void
+    check(bool cond, const char *what)
+    {
+        if (ok() && !cond)
+            corrupt(what);
+    }
+
+    /**
+     * Decode a counted container into @p v, element by element
+     * through @p each. A count above @p max, or above the bytes left
+     * (every element takes at least one), is corrupt before @p v is
+     * sized from it. Decoding stops at the first failure, leaving
+     * @p v holding only the elements decoded before it.
+     */
+    template <class Vec, class Each>
+    void
+    items(Vec &v, uint64_t max, Each each)
+    {
+        const Result<uint64_t> n = count(max);
+        if (!n.ok())
+            return;
+        if (n.value() > remaining()) {
+            corrupt("container count exceeds remaining bytes");
+            return;
+        }
+        v.clear();
+        v.resize(size_t(n.value()));
+        for (size_t i = 0; i < v.size(); ++i) {
+            each(v[i]);
+            if (!ok()) {
+                v.resize(i);
+                return;
+            }
+        }
+    }
+
+    template <class Vec>
+    void
+    items(Vec &v, uint64_t max)
+    {
+        items(v, max, [this](auto &x) { field(x); });
+    }
+
+    /** OK, or the first error any read reported. */
+    const Status &status() const { return status_; }
+
     /** Bytes not yet consumed. */
     size_t remaining() const { return size_ - pos_; }
 
@@ -181,18 +466,25 @@ class SnapshotReader
     Status expectEnd() const;
 
   private:
-    /**
-     * Build a CorruptSnapshot error and latch the reader failed:
-     * every later read also errors, so a decode routine may issue a
-     * batch of reads and check only the last one before touching any
-     * value.
-     */
-    Status corrupt(const char *what) const;
+    bool ok() const { return status_.isOk(); }
+
+    /** Store a decoded value unless the read failed. */
+    template <class R, class T>
+    void
+    take(const Result<R> &r, T &v)
+    {
+        if (r.ok())
+            v = static_cast<T>(r.value());
+    }
+
+    /** Latch a CorruptSnapshot error (the first one sticks) and
+     *  return the latched status. */
+    const Status &corrupt(const char *what);
 
     const uint8_t *data_ = nullptr;
     size_t size_ = 0;
     size_t pos_ = 0;
-    mutable bool failed_ = false;
+    Status status_;
 };
 
 /** Write the top-level header (magic + version). */

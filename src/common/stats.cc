@@ -113,102 +113,6 @@ StreamingHistogram::merge(const StreamingHistogram &other)
     max_ = std::max(max_, other.max_);
 }
 
-namespace {
-// Fence tags for the stats components (arbitrary, stable).
-constexpr uint32_t kRunningStatTag = 0x52535431;       // "RST1"
-constexpr uint32_t kStreamingHistogramTag = 0x53485431; // "SHT1"
-} // namespace
-
-void
-RunningStat::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kRunningStatTag);
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
-}
-
-Status
-RunningStat::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kRunningStatTag);
-    if (!fence.isOk())
-        return fence;
-    auto n = r.u64();
-    auto mean = r.f64();
-    auto m2 = r.f64();
-    auto mn = r.f64();
-    auto mx = r.f64();
-    if (!mx.ok())
-        return mx.status();
-    n_ = n.value();
-    mean_ = mean.value();
-    m2_ = m2.value();
-    min_ = mn.value();
-    max_ = mx.value();
-    return Status::ok();
-}
-
-void
-StreamingHistogram::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kStreamingHistogramTag);
-    w.f64(lo_);
-    w.f64(hi_);
-    w.i32(per_decade_);
-    w.u64(uint64_t(buckets_.size()));
-    for (uint64_t c : buckets_)
-        w.u64(c);
-    w.u64(n_);
-    w.f64(min_);
-    w.f64(max_);
-}
-
-Status
-StreamingHistogram::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kStreamingHistogramTag);
-    if (!fence.isOk())
-        return fence;
-    auto lo = r.f64();
-    auto hi = r.f64();
-    auto per_decade = r.i32();
-    if (!per_decade.ok())
-        return per_decade.status();
-    if (lo.value() != lo_ || hi.value() != hi_ ||
-        per_decade.value() != per_decade_)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "histogram geometry mismatch: snapshot "
-                             "(%g, %g, %d) vs live (%g, %g, %d)",
-                             lo.value(), hi.value(), per_decade.value(),
-                             lo_, hi_, per_decade_);
-    auto n_buckets = r.count(uint64_t(buckets_.size()));
-    if (!n_buckets.ok())
-        return n_buckets.status();
-    if (n_buckets.value() != buckets_.size())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "histogram bucket count %llu != %zu",
-                             (unsigned long long)n_buckets.value(),
-                             buckets_.size());
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        auto c = r.u64();
-        if (!c.ok())
-            return c.status();
-        buckets_[i] = c.value();
-    }
-    auto n = r.u64();
-    auto mn = r.f64();
-    auto mx = r.f64();
-    if (!mx.ok())
-        return mx.status();
-    n_ = n.value();
-    min_ = mn.value();
-    max_ = mx.value();
-    return Status::ok();
-}
-
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {

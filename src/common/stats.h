@@ -51,10 +51,28 @@ class RunningStat
     double max() const { return max_; }
 
     /** Field-wise encode (bit-exact, including the Welford m2). */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /** Field-wise decode; typed CorruptSnapshot on bad input. */
-    Status restoreSnapshot(snap::SnapshotReader &r);
+    Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &s, Ar &ar)
+    {
+        ar.tag(0x52535431); // "RST1"
+        ar.field(s.n_);
+        ar.field(s.mean_);
+        ar.field(s.m2_);
+        ar.field(s.min_);
+        ar.field(s.max_);
+    }
 
   private:
     uint64_t n_ = 0;
@@ -126,7 +144,7 @@ class StreamingHistogram
     void merge(const StreamingHistogram &other);
 
     /** Field-wise encode (bucket counts + exact min/max). */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /**
      * Field-wise decode into this histogram. The snapshot's (lo, hi,
@@ -134,7 +152,29 @@ class StreamingHistogram
      * parameters — a mismatch is a CorruptSnapshot error, since the
      * bucket geometry is part of the metric contract.
      */
-    Status restoreSnapshot(snap::SnapshotReader &r);
+    Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &h, Ar &ar)
+    {
+        ar.tag(0x53485431); // "SHT1"
+        ar.expect(h.lo_);
+        ar.expect(h.hi_);
+        ar.expect(h.per_decade_);
+        ar.expect(uint64_t(h.buckets_.size()));
+        for (auto &c : h.buckets_)
+            ar.field(c);
+        ar.field(h.n_);
+        ar.field(h.min_);
+        ar.field(h.max_);
+    }
 
   private:
     /** Bucket index holding @p x (clamped to the edge buckets). */
@@ -145,9 +185,8 @@ class StreamingHistogram
     double lo_ = 1.0;
     double hi_ = 10.0;
     int per_decade_ = 32;
-    // detlint:allow(R12) derived from lo_ in the ctor; restore validates geometry.
+    // Derived from the geometry in the ctor, so never snapshotted.
     double log_lo_ = 0.0;
-    // detlint:allow(R12) derived from per_decade_ in the ctor; geometry-checked.
     double inv_log_step_ = 1.0; ///< Buckets per unit log10.
     std::vector<uint64_t> buckets_;
     uint64_t n_ = 0;

@@ -117,73 +117,6 @@ EyeCoDSystem::healthReport() const
     return report;
 }
 
-namespace {
-constexpr uint32_t kSystemTag = 0x53595331; // "SYS1"
-} // namespace
-
-void
-EyeCoDSystem::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kSystemTag);
-    pipe_->saveSnapshot(w);
-    w.i64(accel_health_.frames);
-    w.i64(accel_health_.lane_fault_frames);
-    w.i64(accel_health_.stall_frames);
-    w.i64(accel_health_.schedule_timeouts);
-    w.i64(accel_health_.lane_fault_errors);
-    w.i32(accel_health_.retired_lanes);
-    w.i64(accel_health_.ecc.corrected);
-    w.i64(accel_health_.ecc.detected_uncorrectable);
-    w.i64(accel_health_.ecc.silent);
-    w.i64(accel_health_.ecc.overhead_cycles);
-    w.i32(int(accel_health_.last_error));
-}
-
-Status
-EyeCoDSystem::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kSystemTag);
-    if (!fence.isOk())
-        return fence;
-    Status s = pipe_->restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-    auto frames = r.i64();
-    auto lane_fault_frames = r.i64();
-    auto stall_frames = r.i64();
-    auto schedule_timeouts = r.i64();
-    auto lane_fault_errors = r.i64();
-    auto retired_lanes = r.i32();
-    auto ecc_corrected = r.i64();
-    auto ecc_detected = r.i64();
-    auto ecc_silent = r.i64();
-    auto ecc_overhead = r.i64();
-    auto last_error = r.i32();
-    if (!last_error.ok())
-        return last_error.status();
-    if (last_error.value() < 0 ||
-        last_error.value() > int(ErrorCode::VersionMismatch))
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "accel health error code %d out of range",
-                             last_error.value());
-    accel_health_.frames = frames.value();
-    accel_health_.lane_fault_frames = lane_fault_frames.value();
-    accel_health_.stall_frames = stall_frames.value();
-    accel_health_.schedule_timeouts = schedule_timeouts.value();
-    accel_health_.lane_fault_errors = lane_fault_errors.value();
-    accel_health_.retired_lanes = retired_lanes.value();
-    accel_health_.ecc.corrected = ecc_corrected.value();
-    accel_health_.ecc.detected_uncorrectable = ecc_detected.value();
-    accel_health_.ecc.silent = ecc_silent.value();
-    accel_health_.ecc.overhead_cycles = ecc_overhead.value();
-    accel_health_.last_error = ErrorCode(last_error.value());
-    // Warn counters are process-global: re-baseline at restore so the
-    // restored system's report starts clean, exactly like a fresh run.
-    // detlint:allow(R12) re-derived at restore, never decoded from the stream.
-    warn_baseline_ = warnCounters();
-    return Status::ok();
-}
-
 accel::PerfReport
 EyeCoDSystem::simulatePerformance() const
 {

@@ -226,7 +226,7 @@ class EyeCoDSystem
      * estimators and configuration are construction inputs, not
      * snapshot payload.
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /**
      * Restore state saved by saveSnapshot() into a system built from
@@ -234,7 +234,40 @@ class EyeCoDSystem
      * restore time (warn counters are process-global, and the
      * restoring process has its own history).
      */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    [[nodiscard]] Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &sys, Ar &ar)
+    {
+        ar.tag(0x53595331); // "SYS1"
+        ar.field(*sys.pipe_);
+        auto &h = sys.accel_health_;
+        ar.field(h.frames);
+        ar.field(h.lane_fault_frames);
+        ar.field(h.stall_frames);
+        ar.field(h.schedule_timeouts);
+        ar.field(h.lane_fault_errors);
+        ar.field(h.retired_lanes);
+        ar.field(h.ecc.corrected);
+        ar.field(h.ecc.detected_uncorrectable);
+        ar.field(h.ecc.silent);
+        ar.field(h.ecc.overhead_cycles);
+        ar.field(snap::wire<int32_t>(h.last_error));
+        ar.check(int(h.last_error) >= 0 &&
+                     int(h.last_error) <= int(ErrorCode::VersionMismatch),
+                 "accel health error code out of range");
+        // Warn counters are process-global: re-baseline at restore so
+        // the restored system's report starts clean, like a fresh run.
+        if constexpr (Ar::kLoading)
+            sys.warn_baseline_ = warnCounters();
+    }
 
     /** Simulate the accelerator on the deployment workload. */
     accel::PerfReport simulatePerformance() const;
@@ -287,7 +320,7 @@ class EyeCoDSystem
     }
 
   private:
-    // detlint:allow(R12) construction-time config; snapshots carry dynamic state.
+    // Construction-time config; snapshots carry dynamic state only.
     SystemConfig cfg_;
     std::unique_ptr<eyetrack::PredictThenFocusPipeline> pipe_;
     AccelHealth accel_health_;

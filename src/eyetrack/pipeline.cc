@@ -424,165 +424,6 @@ PredictThenFocusPipeline::reset()
         sensor_->resetNoise();
 }
 
-namespace {
-
-constexpr uint32_t kPipelineTag = 0x50495031; // "PIP1"
-
-void
-writeOptionalRect(snap::SnapshotWriter &w, const std::optional<Rect> &r)
-{
-    w.b(r.has_value());
-    if (r.has_value())
-        snap::writeRect(w, *r);
-}
-
-Status
-readOptionalRect(snap::SnapshotReader &r, std::optional<Rect> *out)
-{
-    auto has = r.b();
-    if (!has.ok())
-        return has.status();
-    if (!has.value()) {
-        out->reset();
-        return Status::ok();
-    }
-    auto rect = snap::readRect(r);
-    if (!rect.ok())
-        return rect.status();
-    *out = rect.value();
-    return Status::ok();
-}
-
-} // namespace
-
-void
-PredictThenFocusPipeline::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kPipelineTag);
-    // ROI refresh chain.
-    w.i64(frame_index_);
-    writeOptionalRect(w, current_roi_);
-    writeOptionalRect(w, next_roi_);
-    w.u64(crop_rng_);
-    // Degradation FSM.
-    writeOptionalRect(w, last_good_roi_);
-    w.i64(last_accept_frame_);
-    for (double g : last_gaze_)
-        w.f64(g);
-    w.b(has_last_gaze_);
-    snap::writeImage(w, last_view_);
-    w.b(seg_pending_);
-    w.i64(frames_to_retry_);
-    w.i32(backoff_);
-    w.i64(outage_start_);
-    // Health counters.
-    w.i64(health_stats_.frames);
-    w.i64(health_stats_.degraded_frames);
-    w.i64(health_stats_.dropped_frames);
-    w.i64(health_stats_.nonfinite_views);
-    w.i64(health_stats_.shape_mismatches);
-    w.i64(health_stats_.roi_rejections);
-    w.i64(health_stats_.watchdog_retries);
-    w.i64(health_stats_.gaze_holds);
-    w.i64(health_stats_.recoveries);
-    w.i64(health_stats_.sum_recovery_latency);
-    for (long c : health_stats_.fault_counts)
-        w.i64(c);
-    // Sensor noise stream position (FlatCam cameras only).
-    w.b(sensor_ != nullptr);
-    if (sensor_)
-        sensor_->saveNoiseState(w);
-}
-
-Status
-PredictThenFocusPipeline::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kPipelineTag);
-    if (!fence.isOk())
-        return fence;
-    auto frame_index = r.i64();
-    if (!frame_index.ok())
-        return frame_index.status();
-    frame_index_ = long(frame_index.value());
-    Status s = readOptionalRect(r, &current_roi_);
-    if (!s.isOk())
-        return s;
-    s = readOptionalRect(r, &next_roi_);
-    if (!s.isOk())
-        return s;
-    auto crop_rng = r.u64();
-    if (!crop_rng.ok())
-        return crop_rng.status();
-    crop_rng_ = crop_rng.value();
-    s = readOptionalRect(r, &last_good_roi_);
-    if (!s.isOk())
-        return s;
-    auto last_accept = r.i64();
-    if (!last_accept.ok())
-        return last_accept.status();
-    last_accept_frame_ = long(last_accept.value());
-    for (double &g : last_gaze_) {
-        auto v = r.f64();
-        if (!v.ok())
-            return v.status();
-        g = v.value();
-    }
-    auto has_gaze = r.b();
-    if (!has_gaze.ok())
-        return has_gaze.status();
-    has_last_gaze_ = has_gaze.value();
-    s = snap::readImage(r, &last_view_);
-    if (!s.isOk())
-        return s;
-    auto seg_pending = r.b();
-    auto frames_to_retry = r.i64();
-    auto backoff = r.i32();
-    auto outage_start = r.i64();
-    if (!outage_start.ok())
-        return outage_start.status();
-    seg_pending_ = seg_pending.value();
-    frames_to_retry_ = long(frames_to_retry.value());
-    backoff_ = backoff.value();
-    outage_start_ = long(outage_start.value());
-    long *counters[] = {
-        &health_stats_.frames,
-        &health_stats_.degraded_frames,
-        &health_stats_.dropped_frames,
-        &health_stats_.nonfinite_views,
-        &health_stats_.shape_mismatches,
-        &health_stats_.roi_rejections,
-        &health_stats_.watchdog_retries,
-        &health_stats_.gaze_holds,
-        &health_stats_.recoveries,
-        &health_stats_.sum_recovery_latency,
-    };
-    for (long *c : counters) {
-        auto v = r.i64();
-        if (!v.ok())
-            return v.status();
-        *c = long(v.value());
-    }
-    for (long &c : health_stats_.fault_counts) {
-        auto v = r.i64();
-        if (!v.ok())
-            return v.status();
-        c = long(v.value());
-    }
-    auto has_sensor = r.b();
-    if (!has_sensor.ok())
-        return has_sensor.status();
-    if (has_sensor.value() != (sensor_ != nullptr))
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "snapshot camera kind differs from this "
-                             "pipeline's configuration");
-    if (sensor_) {
-        s = sensor_->restoreNoiseState(r);
-        if (!s.isOk())
-            return s;
-    }
-    return Status::ok();
-}
-
 long long
 PredictThenFocusPipeline::gazeMacsPerFrame() const
 {

@@ -223,14 +223,60 @@ class PredictThenFocusPipeline
      * configuration are NOT captured: they are construction inputs a
      * restoring process already holds.
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /**
      * Restore the per-sequence state saved by saveSnapshot() into a
      * pipeline built from the same configuration. On a typed failure
      * the pipeline state is unspecified; call reset() before reuse.
      */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    [[nodiscard]] Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &p, Ar &ar)
+    {
+        ar.tag(0x50495031); // "PIP1"
+        // ROI refresh chain.
+        ar.field(p.frame_index_);
+        ar.field(p.current_roi_);
+        ar.field(p.next_roi_);
+        ar.field(p.crop_rng_);
+        // Degradation FSM.
+        ar.field(p.last_good_roi_);
+        ar.field(p.last_accept_frame_);
+        ar.field(p.last_gaze_);
+        ar.field(p.has_last_gaze_);
+        ar.field(p.last_view_);
+        ar.field(p.seg_pending_);
+        ar.field(p.frames_to_retry_);
+        ar.field(p.backoff_);
+        ar.field(p.outage_start_);
+        // Health counters.
+        auto &h = p.health_stats_;
+        ar.field(h.frames);
+        ar.field(h.degraded_frames);
+        ar.field(h.dropped_frames);
+        ar.field(h.nonfinite_views);
+        ar.field(h.shape_mismatches);
+        ar.field(h.roi_rejections);
+        ar.field(h.watchdog_retries);
+        ar.field(h.gaze_holds);
+        ar.field(h.recoveries);
+        ar.field(h.sum_recovery_latency);
+        ar.field(h.fault_counts);
+        // Sensor noise stream position (FlatCam cameras only); the
+        // camera kind must match this pipeline's configuration.
+        ar.expect(p.sensor_ != nullptr);
+        if (p.sensor_)
+            ar.field(*p.sensor_);
+    }
 
     /** Aggregate health counters since construction or reset(). */
     const HealthStats &healthStats() const { return health_stats_; }
@@ -278,18 +324,18 @@ class PredictThenFocusPipeline
     /** Centered roi_height x roi_width crop of the scene extent. */
     Rect centeredCrop() const;
 
-    // detlint:allow(R12) construction-time config; snapshots carry dynamic state.
+    // Construction inputs, not snapshot state: the config, the
+    // stateless segmenter, the ROI stage (its state travels in the
+    // ROI fields below), the fitted gaze model, the reconstructor
+    // (rebuilt from calibration) and the fault schedule (config,
+    // replayed deterministically). Only the sensor's noise stream is
+    // snapshotted.
     PipelineConfig cfg_;
-    // detlint:allow(R12) stateless stage, rebuilt from cfg_ at construction.
     ClassicalSegmenter segmenter_;
-    // detlint:allow(R12) stage state travels via the ROI fields below.
     RoiPredictor roi_;
-    // detlint:allow(R12) model fitted at construction from cfg_.
     RidgeGazeEstimator gaze_;
     std::unique_ptr<flatcam::FlatCamSensor> sensor_;
-    // detlint:allow(R12) rebuilt from calibration at construction.
     std::unique_ptr<flatcam::FlatCamReconstructor> recon_;
-    // detlint:allow(R12) fault schedule is config, replayed deterministically.
     std::unique_ptr<flatcam::FaultInjector> injector_;
 
     // Per-sequence ROI refresh state.
@@ -313,14 +359,12 @@ class PredictThenFocusPipeline
 
     // Frame spine: pooled per-frame scratch. The arena is epoch-reset
     // at the top of every frame; the member images reuse capacity, so
-    // steady-state frames never touch the heap.
-    // detlint:allow(R12) pooled scratch, epoch-reset at the top of every frame.
+    // steady-state frames never touch the heap. None of it is
+    // snapshotted: each buffer is repainted before its first use in a
+    // frame, and the result slot is overwritten by the next frame.
     BufferArena arena_;
-    // detlint:allow(R12) per-frame scratch, repainted before first use.
     Image view_;       ///< Acquired (reconstructed) frame scratch.
-    // detlint:allow(R12) per-frame scratch, repainted before first use.
     Image meas_;       ///< FlatCam measurement scratch.
-    // detlint:allow(R12) last-frame output slot, overwritten next frame.
     FrameResult result_; ///< processFrameRef() result slot.
 };
 

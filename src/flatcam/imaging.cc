@@ -66,42 +66,25 @@ FlatCamSensor::resetNoise()
     rng_ = Rng(noise_.seed);
 }
 
-namespace {
-constexpr uint32_t kSensorNoiseTag = 0x534e5331; // "SNS1"
-/** mt19937_64 stream state text is ~6.3 KB; bound reads generously. */
-constexpr size_t kMaxEngineStateChars = 1u << 15;
-} // namespace
-
-void
-FlatCamSensor::saveNoiseState(snap::SnapshotWriter &w) const
+std::string
+FlatCamSensor::noiseState() const
 {
-    w.tag(kSensorNoiseTag);
-    // The standard serialization of the engine state: decimal words,
-    // space-separated. Field-wise (one engine word per token), stable
-    // across platforms, and checkable on restore.
     std::ostringstream os;
     os << rng_.engine();
-    w.str(os.str());
+    return os.str();
 }
 
-Status
-FlatCamSensor::restoreNoiseState(snap::SnapshotReader &r)
+bool
+FlatCamSensor::setNoiseState(const std::string &text)
 {
-    Status fence = r.expectTag(kSensorNoiseTag);
-    if (!fence.isOk())
-        return fence;
-    auto text = r.str(kMaxEngineStateChars);
-    if (!text.ok())
-        return text.status();
-    std::istringstream is(text.value());
+    std::istringstream is(text);
     // detlint:allow(R1) restoring the seeded Rng's own engine state
     std::mt19937_64 engine;
     is >> engine;
     if (is.fail())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "unparsable sensor RNG stream state");
+        return false;
     rng_.engine() = engine;
-    return Status::ok();
+    return true;
 }
 
 void

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/image.h"
 #include "common/image_view.h"
@@ -99,17 +100,24 @@ class FlatCamSensor
     void resetNoise();
 
     /**
-     * Serialize the noise RNG's stream position — the only mutable
-     * state a sensor carries that the seed alone cannot rebuild. A
+     * Snapshot field list (common/snapshot.h): the noise RNG's stream
+     * position — the only mutable state a sensor carries that the
+     * seed alone cannot rebuild — as the engine's standard text. A
      * restored sensor continues the read/shot-noise stream from the
      * exact draw the snapshot was taken at (bitwise replay across a
      * checkpoint boundary).
      */
-    void saveNoiseState(snap::SnapshotWriter &w) const;
-
-    /** Restore the noise RNG stream position; typed errors on
-     *  corrupt input. */
-    Status restoreNoiseState(snap::SnapshotReader &r);
+    template <class Self, class Ar>
+    static void
+    fields(Self &cam, Ar &ar)
+    {
+        ar.tag(0x534e5331); // "SNS1"
+        std::string state = cam.noiseState();
+        ar.field(state, size_t(1) << 15); // ~6.3 KB in practice
+        if constexpr (Ar::kLoading)
+            ar.check(cam.setNoiseState(state),
+                     "unparsable sensor RNG stream state");
+    }
 
     /** The mask in use. */
     const SeparableMask &mask() const { return optics_->mask; }
@@ -126,12 +134,19 @@ class FlatCamSensor
     /** The noisy forward model, shared by both capture paths. */
     void multiplexInto(ImageConstView scene, Image *out) const;
 
-    // detlint:allow(R12) immutable optics, fixed at construction.
+    /** The noise engine's state in its standard text form (decimal
+     *  words, space-separated). */
+    std::string noiseState() const;
+
+    /** Load noiseState() text; false, engine untouched, when it does
+     *  not parse. */
+    bool setNoiseState(const std::string &text);
+
+    // Only rng_ is snapshotted: the optics are immutable, the noise
+    // model is config, and the owner reattaches the injector.
     std::shared_ptr<const SensorOptics> optics_;
-    // detlint:allow(R12) noise model config; rng_ carries the dynamic state.
     SensorNoise noise_;
     mutable Rng rng_;
-    // detlint:allow(R12) non-owning wiring, reattached by the owner.
     const FaultInjector *injector_ = nullptr;
 
     // Per-frame forward-model scratch, warmed on the first capture
@@ -139,11 +154,8 @@ class FlatCamSensor
     // capture is logically const, the scratch is not observable
     // state. A sensor is owned by one pipeline and never shared
     // across threads (the RNG already forbids that); its optics are.
-    // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix scene_mat_;  ///< x (scene as doubles).
-    // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix left_prod_;  ///< PhiL * x.
-    // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix measurement_; ///< (PhiL * x) * PhiR^T, then noise.
 };
 

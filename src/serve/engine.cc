@@ -122,10 +122,16 @@ ServingEngine::openSession()
     }
     const int id = int(sessions_.size());
     // detlint:allow(R8) control plane, bounded by max_sessions above
-    sessions_.push_back(std::make_unique<Session>(
-        id, cfg_.system, trained_, cfg_.queue_capacity,
-        cfg_.record_gaze, cfg_.drop_log_cap));
+    sessions_.push_back(makeSession(id));
     return id;
+}
+
+std::unique_ptr<Session>
+ServingEngine::makeSession(int id) const
+{
+    return std::make_unique<Session>(id, cfg_.system, trained_,
+                                     cfg_.queue_capacity,
+                                     cfg_.record_gaze, cfg_.drop_log_cap);
 }
 
 Status
@@ -943,108 +949,12 @@ ServingEngine::exportMetrics(PerfJson &json,
     }
 }
 
-namespace {
-
-constexpr uint32_t kEngineTag = 0x454e4731; // "ENG1"
-
-/** Sanity bounds on hostile-input container counts. Sessions and
- *  retries are unbounded in principle (session ids are never reused;
- *  the retry queue is bounded by frames in flight at failure
- *  instants), so the codec bound is a generous corruption fence, not
- *  a policy limit. */
-constexpr uint64_t kMaxSnapshotSessions = 1u << 20;
-constexpr uint64_t kMaxSnapshotRetries = 1u << 20;
-
-} // namespace
-
 std::vector<uint8_t>
 ServingEngine::saveSnapshot() const
 {
     snap::SnapshotWriter w;
     snap::writeHeader(w);
-    w.tag(kEngineTag);
-
-    // Configuration fingerprint: restore refuses a snapshot taken
-    // under a different serving shape (chip count, batch/queue
-    // geometry, timing grid, logging switches). scheduler_threads is
-    // deliberately absent — results are bitwise thread-count
-    // independent, so a snapshot may be restored at any width.
-    w.i32(cfg_.virtual_chips);
-    w.i32(cfg_.max_batch);
-    w.i32(cfg_.max_sessions);
-    w.u64(uint64_t(cfg_.queue_capacity));
-    w.i64(cfg_.tick_us);
-    w.i64(cfg_.frame_interval_us);
-    w.i64(cfg_.deadline_us);
-    w.i32(cfg_.rate_downgrade_stride);
-    w.i32(cfg_.failover.max_retries);
-    w.b(cfg_.record_gaze);
-    w.b(cfg_.record_completions);
-    w.u64(uint64_t(cfg_.drop_log_cap));
-    w.u64(uint64_t(cfg_.completion_log_cap));
-
-    // Virtual clock + engine-level counters.
-    w.i64(virtual_now_);
-    w.i64(next_tick_us_);
-    w.i64(last_completion_us_);
-    w.i64(rejected_sessions_);
-    w.i64(closed_sessions_);
-    w.b(stopped_);
-    w.i64(chip_failures_);
-    w.i64(chip_rejoins_);
-    w.i64(lanes_retired_);
-    w.i64(completion_log_dropped_);
-    failover_latency_hist_.saveSnapshot(w);
-
-    pool_.saveSnapshot(w);
-    health_.saveSnapshot(w);
-
-    // Sessions before the in-flight/retry state so restore can
-    // validate frame session indices as it decodes them.
-    w.u64(uint64_t(sessions_.size()));
-    for (const auto &sess : sessions_)
-        sess->saveSnapshot(w);
-
-    // In-flight batches, one slot per chip.
-    w.u64(uint64_t(inflight_.size()));
-    for (const InFlightBatch &b : inflight_) {
-        w.b(b.active);
-        w.i64(b.completion_us);
-        w.u64(uint64_t(b.frames.size()));
-        for (const InFlightFrame &fr : b.frames) {
-            w.i32(fr.session);
-            writeTicket(w, fr.ticket);
-            w.b(fr.refresh);
-            w.b(fr.degraded_res);
-            w.b(fr.pipeline_drop);
-            w.i32(fr.attempts);
-        }
-    }
-
-    // Failover retry queue, in order (order is scheduling-relevant).
-    w.u64(uint64_t(retry_.size()));
-    for (const RetryFrame &r : retry_) {
-        w.i32(r.frame.session);
-        writeTicket(w, r.frame.ticket);
-        w.b(r.frame.refresh);
-        w.b(r.frame.degraded_res);
-        w.b(r.frame.pipeline_drop);
-        w.i32(r.frame.attempts);
-        w.i64(r.eligible_us);
-    }
-
-    // Bounded completion log (record_completions only; may be empty).
-    w.u64(uint64_t(completion_log_.size()));
-    for (const CompletionRecord &rec : completion_log_) {
-        w.i32(rec.session);
-        w.i64(rec.frame_index);
-        w.i64(rec.arrival_us);
-        w.i64(rec.completion_us);
-        w.f64(rec.latency_us);
-        w.b(rec.redispatched);
-        w.b(rec.deadline_miss);
-    }
-
+    fields(*this, w);
     snap::sealSnapshot(w);
     return w.take();
 }
@@ -1061,197 +971,8 @@ ServingEngine::restoreSnapshot(const std::vector<uint8_t> &data)
     Status s = snap::checkHeader(r);
     if (!s.isOk())
         return s;
-    s = r.expectTag(kEngineTag);
-    if (!s.isOk())
-        return s;
-
-    // Configuration fingerprint must match this engine exactly.
-    auto chips = r.i32();
-    auto max_batch = r.i32();
-    auto max_sessions = r.i32();
-    auto queue_capacity = r.u64();
-    auto tick_us = r.i64();
-    auto frame_interval_us = r.i64();
-    auto deadline_us = r.i64();
-    auto stride = r.i32();
-    auto max_retries = r.i32();
-    auto record_gaze = r.b();
-    auto record_completions = r.b();
-    auto drop_log_cap = r.u64();
-    auto completion_log_cap = r.u64();
-    if (!completion_log_cap.ok())
-        return completion_log_cap.status();
-    const bool fingerprint_ok =
-        chips.value() == cfg_.virtual_chips &&
-        max_batch.value() == cfg_.max_batch &&
-        max_sessions.value() == cfg_.max_sessions &&
-        queue_capacity.value() == uint64_t(cfg_.queue_capacity) &&
-        tick_us.value() == cfg_.tick_us &&
-        frame_interval_us.value() == cfg_.frame_interval_us &&
-        deadline_us.value() == cfg_.deadline_us &&
-        stride.value() == cfg_.rate_downgrade_stride &&
-        max_retries.value() == cfg_.failover.max_retries &&
-        record_gaze.value() == cfg_.record_gaze &&
-        record_completions.value() == cfg_.record_completions &&
-        drop_log_cap.value() == uint64_t(cfg_.drop_log_cap) &&
-        completion_log_cap.value() ==
-            uint64_t(cfg_.completion_log_cap);
-    if (!fingerprint_ok)
-        return Status::error(
-            ErrorCode::CorruptSnapshot,
-            "snapshot was taken under a different serving "
-            "configuration");
-
-    auto virtual_now = r.i64();
-    auto next_tick = r.i64();
-    auto last_completion = r.i64();
-    auto rejected = r.i64();
-    auto closed = r.i64();
-    auto stopped = r.b();
-    auto chip_failures = r.i64();
-    auto chip_rejoins = r.i64();
-    auto lanes_retired = r.i64();
-    auto log_dropped = r.i64();
-    if (!log_dropped.ok())
-        return log_dropped.status();
-    virtual_now_ = virtual_now.value();
-    next_tick_us_ = next_tick.value();
-    last_completion_us_ = last_completion.value();
-    rejected_sessions_ = rejected.value();
-    closed_sessions_ = closed.value();
-    stopped_ = stopped.value();
-    chip_failures_ = chip_failures.value();
-    chip_rejoins_ = chip_rejoins.value();
-    lanes_retired_ = lanes_retired.value();
-    completion_log_dropped_ = log_dropped.value();
-
-    s = failover_latency_hist_.restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-    s = pool_.restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-    s = health_.restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-
-    // Rebuild the session table from configuration, then restore
-    // each session's state into its fresh instance.
-    auto session_count = r.count(kMaxSnapshotSessions);
-    if (!session_count.ok())
-        return session_count.status();
-    sessions_.clear();
-    sessions_.reserve(size_t(session_count.value()));
-    for (uint64_t i = 0; i < session_count.value(); ++i) {
-        // detlint:allow(R8) bounded by the validated session count
-        sessions_.push_back(std::make_unique<Session>(
-            int(i), cfg_.system, trained_, cfg_.queue_capacity,
-            cfg_.record_gaze, cfg_.drop_log_cap));
-        s = sessions_.back()->restoreSnapshot(r);
-        if (!s.isOk())
-            return s;
-    }
-
-    // In-flight frame decode, shared by the chip slots and the retry
-    // queue; the session index is validated against the table above.
-    auto read_frame = [&](InFlightFrame *out) -> Status {
-        auto session = r.i32();
-        if (!session.ok())
-            return session.status();
-        if (session.value() < 0 ||
-            session.value() >= int(sessions_.size()))
-            return Status::error(ErrorCode::CorruptSnapshot,
-                                 "in-flight frame session %d out of "
-                                 "range", session.value());
-        auto ticket = readTicket(r);
-        if (!ticket.ok())
-            return ticket.status();
-        auto refresh = r.b();
-        auto degraded = r.b();
-        auto pipeline_drop = r.b();
-        auto attempts = r.i32();
-        if (!attempts.ok())
-            return attempts.status();
-        if (attempts.value() < 1)
-            return Status::error(ErrorCode::CorruptSnapshot,
-                                 "in-flight frame attempts %d < 1",
-                                 attempts.value());
-        out->session = session.value();
-        out->ticket = ticket.value();
-        out->refresh = refresh.value();
-        out->degraded_res = degraded.value();
-        out->pipeline_drop = pipeline_drop.value();
-        out->attempts = attempts.value();
-        return Status::ok();
-    };
-
-    auto slot_count = r.u64();
-    if (!slot_count.ok())
-        return slot_count.status();
-    if (slot_count.value() != uint64_t(cfg_.virtual_chips))
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "in-flight slot count %llu != %d chips",
-                             (unsigned long long)slot_count.value(),
-                             cfg_.virtual_chips);
-    inflight_.assign(size_t(cfg_.virtual_chips), InFlightBatch{});
-    for (InFlightBatch &b : inflight_) {
-        auto active = r.b();
-        auto completion = r.i64();
-        if (!completion.ok())
-            return completion.status();
-        auto frames = r.count(uint64_t(cfg_.max_batch));
-        if (!frames.ok())
-            return frames.status();
-        b.active = active.value();
-        b.completion_us = completion.value();
-        b.frames.resize(size_t(frames.value()));
-        for (InFlightFrame &fr : b.frames) {
-            s = read_frame(&fr);
-            if (!s.isOk())
-                return s;
-        }
-    }
-
-    auto retry_count = r.count(kMaxSnapshotRetries);
-    if (!retry_count.ok())
-        return retry_count.status();
-    retry_.clear();
-    retry_.resize(size_t(retry_count.value()));
-    for (RetryFrame &rf : retry_) {
-        s = read_frame(&rf.frame);
-        if (!s.isOk())
-            return s;
-        auto eligible = r.i64();
-        if (!eligible.ok())
-            return eligible.status();
-        rf.eligible_us = eligible.value();
-    }
-
-    auto log_count = r.count(uint64_t(cfg_.completion_log_cap));
-    if (!log_count.ok())
-        return log_count.status();
-    completion_log_.clear();
-    completion_log_.resize(size_t(log_count.value()));
-    for (CompletionRecord &rec : completion_log_) {
-        auto session = r.i32();
-        auto frame_index = r.i64();
-        auto arrival = r.i64();
-        auto completion = r.i64();
-        auto latency = r.f64();
-        auto redispatched = r.b();
-        auto miss = r.b();
-        if (!miss.ok())
-            return miss.status();
-        rec.session = session.value();
-        rec.frame_index = long(frame_index.value());
-        rec.arrival_us = arrival.value();
-        rec.completion_us = completion.value();
-        rec.latency_us = latency.value();
-        rec.redispatched = redispatched.value();
-        rec.deadline_miss = miss.value();
-    }
-
-    return r.expectEnd();
+    fields(*this, r);
+    return r.status().isOk() ? r.expectEnd() : r.status();
 }
 
 } // namespace serve

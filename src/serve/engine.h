@@ -197,6 +197,20 @@ struct CompletionRecord
     double latency_us = 0.0;
     bool redispatched = false; ///< Survived >= 1 chip failure.
     bool deadline_miss = false;
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &c, Ar &ar)
+    {
+        ar.field(c.session);
+        ar.field(c.frame_index);
+        ar.field(c.arrival_us);
+        ar.field(c.completion_us);
+        ar.field(c.latency_us);
+        ar.field(c.redispatched);
+        ar.field(c.deadline_miss);
+    }
 };
 
 /**
@@ -418,6 +432,99 @@ class ServingEngine
         InFlightFrame frame;
         long long eligible_us = 0; ///< Earliest re-dispatch time.
     };
+
+    /**
+     * The snapshot field list (common/snapshot.h) under the header
+     * and seal. Restore rebuilds each session from configuration
+     * before decoding into it.
+     */
+    template <class Self, class Ar>
+    static void
+    fields(Self &e, Ar &ar)
+    {
+        ar.tag(0x454e4731); // "ENG1"
+        // Configuration fingerprint: restore refuses a snapshot taken
+        // under a different serving shape (chip count, batch/queue
+        // geometry, timing grid, logging switches). scheduler_threads
+        // is deliberately absent — results are bitwise thread-count
+        // independent, so a snapshot may be restored at any width.
+        const ServingConfig &cfg = e.cfg_;
+        ar.expect(cfg.virtual_chips);
+        ar.expect(cfg.max_batch);
+        ar.expect(cfg.max_sessions);
+        ar.expect(uint64_t(cfg.queue_capacity));
+        ar.expect(cfg.tick_us);
+        ar.expect(cfg.frame_interval_us);
+        ar.expect(cfg.deadline_us);
+        ar.expect(cfg.rate_downgrade_stride);
+        ar.expect(cfg.failover.max_retries);
+        ar.expect(cfg.record_gaze);
+        ar.expect(cfg.record_completions);
+        ar.expect(uint64_t(cfg.drop_log_cap));
+        ar.expect(uint64_t(cfg.completion_log_cap));
+
+        // Virtual clock + engine-level counters.
+        ar.field(e.virtual_now_);
+        ar.field(e.next_tick_us_);
+        ar.field(e.last_completion_us_);
+        ar.field(e.rejected_sessions_);
+        ar.field(e.closed_sessions_);
+        ar.field(e.stopped_);
+        ar.field(e.chip_failures_);
+        ar.field(e.chip_rejoins_);
+        ar.field(e.lanes_retired_);
+        ar.field(e.completion_log_dropped_);
+        ar.field(e.failover_latency_hist_);
+        ar.field(e.pool_);
+        ar.field(e.health_);
+
+        // Sessions before the in-flight/retry state, so frame session
+        // indices are validated against the restored table.
+        ar.items(e.sessions_, kMaxSnapshotSessions, [&](auto &sess) {
+            if constexpr (Ar::kLoading) // the slot index is the id
+                sess = e.makeSession(int(&sess - e.sessions_.data()));
+            ar.field(*sess);
+        });
+        auto frame = [&](auto &fr) {
+            ar.field(fr.session);
+            ar.check(fr.session >= 0 &&
+                         size_t(fr.session) < e.sessions_.size(),
+                     "in-flight frame session out of range");
+            ar.field(fr.ticket);
+            ar.field(fr.refresh);
+            ar.field(fr.degraded_res);
+            ar.field(fr.pipeline_drop);
+            ar.field(fr.attempts);
+            ar.check(fr.attempts >= 1, "in-flight frame attempts < 1");
+        };
+        // In-flight batches, one slot per chip.
+        ar.expect(uint64_t(e.inflight_.size()));
+        for (auto &b : e.inflight_) {
+            ar.field(b.active);
+            ar.field(b.completion_us);
+            ar.items(b.frames, uint64_t(cfg.max_batch), frame);
+        }
+        // Failover retry queue, in order (order is scheduling-relevant).
+        ar.items(e.retry_, kMaxSnapshotRetries, [&](auto &rf) {
+            frame(rf.frame);
+            ar.field(rf.eligible_us);
+        });
+        // Bounded completion log (record_completions only; may be
+        // empty).
+        ar.items(e.completion_log_, uint64_t(cfg.completion_log_cap));
+    }
+
+    /**
+     * Corruption fences on hostile snapshot counts. Sessions and
+     * retries are unbounded in principle (session ids are never
+     * reused; the retry queue is bounded by frames in flight at
+     * failure instants), so these are not policy limits.
+     */
+    static constexpr uint64_t kMaxSnapshotSessions = 1u << 20;
+    static constexpr uint64_t kMaxSnapshotRetries = 1u << 20;
+
+    /** A fresh session @p id built from the engine configuration. */
+    std::unique_ptr<Session> makeSession(int id) const;
 
     Session &sessionRef(int id);
     const Session &sessionRef(int id) const;

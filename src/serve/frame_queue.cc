@@ -111,131 +111,5 @@ BoundedFrameQueue::maxDepth() const
     return max_depth_;
 }
 
-namespace {
-constexpr uint32_t kFrameQueueTag = 0x46515531; // "FQU1"
-}
-
-void
-writeTicket(snap::SnapshotWriter &w, const FrameTicket &ticket)
-{
-    w.i64(ticket.frame_index);
-    w.i64(ticket.arrival_us);
-    w.f64(ticket.params.yaw_deg);
-    w.f64(ticket.params.pitch_deg);
-    w.f64(ticket.params.eye_cy);
-    w.f64(ticket.params.eye_cx);
-    w.f64(ticket.params.eye_radius);
-    w.f64(ticket.params.pupil_scale);
-    w.f64(ticket.params.eyelid_open);
-}
-
-Result<FrameTicket>
-readTicket(snap::SnapshotReader &r)
-{
-    auto frame_index = r.i64();
-    auto arrival = r.i64();
-    auto yaw = r.f64();
-    auto pitch = r.f64();
-    auto eye_cy = r.f64();
-    auto eye_cx = r.f64();
-    auto eye_radius = r.f64();
-    auto pupil_scale = r.f64();
-    auto eyelid_open = r.f64();
-    if (!eyelid_open.ok())
-        return eyelid_open.status();
-    FrameTicket t;
-    t.frame_index = long(frame_index.value());
-    t.arrival_us = arrival.value();
-    t.params.yaw_deg = yaw.value();
-    t.params.pitch_deg = pitch.value();
-    t.params.eye_cy = eye_cy.value();
-    t.params.eye_cx = eye_cx.value();
-    t.params.eye_radius = eye_radius.value();
-    t.params.pupil_scale = pupil_scale.value();
-    t.params.eyelid_open = eyelid_open.value();
-    return t;
-}
-
-void
-writeDropRecord(snap::SnapshotWriter &w, const DropRecord &rec)
-{
-    w.i64(rec.frame_index);
-    w.i64(rec.arrival_us);
-    w.i64(rec.dropped_us);
-    w.u8(uint8_t(int(rec.reason)));
-}
-
-Result<DropRecord>
-readDropRecord(snap::SnapshotReader &r)
-{
-    auto frame_index = r.i64();
-    auto arrival = r.i64();
-    auto dropped = r.i64();
-    auto reason = r.u8();
-    if (!reason.ok())
-        return reason.status();
-    if (reason.value() >= kNumDropReasons)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "drop reason %d out of range",
-                             int(reason.value()));
-    DropRecord rec;
-    rec.frame_index = long(frame_index.value());
-    rec.arrival_us = arrival.value();
-    rec.dropped_us = dropped.value();
-    rec.reason = DropReason(reason.value());
-    return rec;
-}
-
-void
-BoundedFrameQueue::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    MutexLock lock(mutex_);
-    w.tag(kFrameQueueTag);
-    w.u64(capacity_);
-    w.u64(count_);
-    for (size_t i = 0; i < count_; ++i)
-        writeTicket(w, ring_[(head_ + i) % capacity_]);
-    w.u64(pushed_);
-    w.u64(dropped_);
-    w.u64(max_depth_);
-}
-
-Status
-BoundedFrameQueue::restoreSnapshot(snap::SnapshotReader &r)
-{
-    MutexLock lock(mutex_);
-    Status fence = r.expectTag(kFrameQueueTag);
-    if (!fence.isOk())
-        return fence;
-    auto capacity = r.u64();
-    if (!capacity.ok())
-        return capacity.status();
-    if (capacity.value() != capacity_)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "queue capacity %llu != configured %zu",
-                             (unsigned long long)capacity.value(),
-                             capacity_);
-    auto count = r.count(capacity_);
-    if (!count.ok())
-        return count.status();
-    head_ = 0;
-    count_ = size_t(count.value());
-    for (size_t i = 0; i < count_; ++i) {
-        auto t = readTicket(r);
-        if (!t.ok())
-            return t.status();
-        ring_[i] = t.value();
-    }
-    auto pushed = r.u64();
-    auto dropped = r.u64();
-    auto max_depth = r.u64();
-    if (!max_depth.ok())
-        return max_depth.status();
-    pushed_ = pushed.value();
-    dropped_ = dropped.value();
-    max_depth_ = size_t(max_depth.value());
-    return Status::ok();
-}
-
 } // namespace serve
 } // namespace eyecod

@@ -27,6 +27,7 @@
 #ifndef EYECOD_SERVE_FRAME_QUEUE_H
 #define EYECOD_SERVE_FRAME_QUEUE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -48,6 +49,22 @@ struct FrameTicket
     long frame_index = 0;        ///< Per-session monotone index.
     long long arrival_us = 0;    ///< Virtual arrival timestamp.
     dataset::EyeParams params;   ///< Scene to render when dispatched.
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &t, Ar &ar)
+    {
+        ar.field(t.frame_index);
+        ar.field(t.arrival_us);
+        ar.field(t.params.yaw_deg);
+        ar.field(t.params.pitch_deg);
+        ar.field(t.params.eye_cy);
+        ar.field(t.params.eye_cx);
+        ar.field(t.params.eye_radius);
+        ar.field(t.params.pupil_scale);
+        ar.field(t.params.eyelid_open);
+    }
 };
 
 /** Why a frame was shed (drop accounting is broken out by reason). */
@@ -71,19 +88,20 @@ struct DropRecord
     long long arrival_us = 0; ///< When it arrived.
     long long dropped_us = 0; ///< When the eviction happened.
     DropReason reason = DropReason::Backpressure;
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &d, Ar &ar)
+    {
+        ar.field(d.frame_index);
+        ar.field(d.arrival_us);
+        ar.field(d.dropped_us);
+        ar.field(snap::wire<uint8_t>(d.reason));
+        ar.check(int(d.reason) < kNumDropReasons,
+                 "drop reason out of range");
+    }
 };
-
-/** Encode one ticket field-wise (identity, arrival, scene params). */
-void writeTicket(snap::SnapshotWriter &w, const FrameTicket &ticket);
-
-/** Decode one ticket. */
-Result<FrameTicket> readTicket(snap::SnapshotReader &r);
-
-/** Encode one drop record field-wise. */
-void writeDropRecord(snap::SnapshotWriter &w, const DropRecord &rec);
-
-/** Decode one drop record (reason validated against the enum). */
-Result<DropRecord> readDropRecord(snap::SnapshotReader &r);
 
 /**
  * Bounded SPSC frame queue with drop-oldest backpressure.
@@ -129,14 +147,40 @@ class BoundedFrameQueue
     size_t maxDepth() const;
 
     /** Serialize the queued tickets (oldest first) + counters. */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /**
      * Restore into a queue of the same capacity; the snapshot's
      * capacity is validated, queued tickets land at the front of the
      * ring (head 0), and the counters resume exactly.
      */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    [[nodiscard]] Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h); runs under the
+     *  queue's lock. */
+    template <class Self, class Ar>
+    static void
+    fields(Self &q, Ar &ar)
+    {
+        MutexLock lock(q.mutex_);
+        ar.tag(0x46515531); // "FQU1"
+        ar.expect(uint64_t(q.capacity_));
+        if constexpr (Ar::kLoading)
+            q.head_ = 0;
+        ar.field(snap::wire<uint64_t>(q.count_));
+        ar.check(q.count_ <= q.capacity_, "queued tickets above capacity");
+        // min(): a count the check refused must not drive the loop.
+        for (size_t i = 0; i < std::min(q.count_, q.capacity_); ++i)
+            ar.field(q.ring_[(q.head_ + i) % q.capacity_]);
+        ar.field(q.pushed_);
+        ar.field(q.dropped_);
+        ar.field(snap::wire<uint64_t>(q.max_depth_));
+    }
 
   private:
     mutable Mutex mutex_;

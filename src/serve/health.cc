@@ -83,56 +83,5 @@ FleetHealthController::update(const FleetSignal &signal)
     return tier_;
 }
 
-namespace {
-constexpr uint32_t kHealthControllerTag = 0x48435431; // "HCT1"
-}
-
-void
-FleetHealthController::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kHealthControllerTag);
-    w.i32(tier_);
-    w.i32(above_ticks_);
-    w.i32(below_ticks_);
-    w.f64(last_pressure_);
-    w.i64(transitions_);
-    for (long long ticks : residency_)
-        w.i64(ticks);
-}
-
-Status
-FleetHealthController::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kHealthControllerTag);
-    if (!fence.isOk())
-        return fence;
-    auto tier = r.i32();
-    auto above = r.i32();
-    auto below = r.i32();
-    auto pressure = r.f64();
-    auto transitions = r.i64();
-    if (!transitions.ok())
-        return transitions.status();
-    if (tier.value() < 0 || tier.value() > kNumDegradationTiers)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "degradation tier %d out of range",
-                             tier.value());
-    if (above.value() < 0 || below.value() < 0)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "negative hysteresis streak");
-    tier_ = tier.value();
-    above_ticks_ = above.value();
-    below_ticks_ = below.value();
-    last_pressure_ = pressure.value();
-    transitions_ = transitions.value();
-    for (long long &ticks : residency_) {
-        auto v = r.i64();
-        if (!v.ok())
-            return v.status();
-        ticks = v.value();
-    }
-    return Status::ok();
-}
-
 } // namespace serve
 } // namespace eyecod

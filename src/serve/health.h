@@ -138,13 +138,36 @@ class FleetHealthController
      * escalation/de-escalation windows exactly where the snapshot
      * left them (a mid-ladder checkpoint must not re-arm hysteresis).
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /** Restore ladder state; tier and streaks are range-checked. */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    [[nodiscard]] Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &c, Ar &ar)
+    {
+        ar.tag(0x48435431); // "HCT1"
+        ar.field(c.tier_);
+        ar.check(c.tier_ >= 0 && c.tier_ <= kNumDegradationTiers,
+                 "degradation tier out of range");
+        ar.field(c.above_ticks_);
+        ar.field(c.below_ticks_);
+        ar.check(c.above_ticks_ >= 0 && c.below_ticks_ >= 0,
+                 "negative hysteresis streak");
+        ar.field(c.last_pressure_);
+        ar.field(c.transitions_);
+        ar.field(c.residency_);
+    }
 
   private:
-    // detlint:allow(R12) construction-time config; snapshots carry ladder state.
+    // Construction-time config; snapshots carry ladder state only.
     HealthControllerConfig cfg_;
     int tier_ = 0;
     int above_ticks_ = 0; ///< Consecutive ticks above next engage.

@@ -117,149 +117,5 @@ Session::health() const
     return h;
 }
 
-namespace {
-constexpr uint32_t kSessionTag = 0x53455331; // "SES1"
-/** Sanity bound on a recorded gaze stream (tests only record a few
- *  thousand frames; a count above this is corrupt input). */
-constexpr uint64_t kMaxGazeLog = 1u << 22;
-} // namespace
-
-void
-Session::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kSessionTag);
-    w.i32(id_);
-    w.b(active_);
-    w.b(record_gaze_);
-    // Metrics counters, in declaration order.
-    w.i64(metrics_.submitted);
-    w.i64(metrics_.completed);
-    w.i64(metrics_.queue_drops);
-    w.i64(metrics_.drops_backpressure);
-    w.i64(metrics_.drops_shed_on_close);
-    w.i64(metrics_.drops_rate_downgrade);
-    w.i64(metrics_.drops_failover);
-    w.i64(metrics_.pipeline_drops);
-    w.i64(metrics_.deadline_misses);
-    w.i64(metrics_.max_queue_depth);
-    w.i64(metrics_.redispatched_frames);
-    w.i64(metrics_.degraded_res_frames);
-    w.i64(metrics_.drop_log_overflow);
-    w.i64(metrics_.steady_frames);
-    w.i64(metrics_.steady_allocs);
-    w.i64(metrics_.refresh_frames);
-    w.i64(metrics_.refresh_allocs);
-    metrics_.latency_us.saveSnapshot(w);
-    metrics_.latency_hist.saveSnapshot(w);
-    w.u64(uint64_t(metrics_.drop_log.size()));
-    for (const DropRecord &rec : metrics_.drop_log)
-        writeDropRecord(w, rec);
-    for (double g : last_gaze_)
-        w.f64(g);
-    w.u64(uint64_t(gaze_log_.size()));
-    for (const dataset::GazeVec &g : gaze_log_)
-        for (double v : g)
-            w.f64(v);
-    w.b(last_degraded_);
-    system_.saveSnapshot(w);
-    queue_.saveSnapshot(w);
-}
-
-Status
-Session::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kSessionTag);
-    if (!fence.isOk())
-        return fence;
-    auto id = r.i32();
-    auto active = r.b();
-    auto record_gaze = r.b();
-    if (!record_gaze.ok())
-        return record_gaze.status();
-    if (id.value() != id_)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "session id %d != snapshot id %d", id_,
-                             id.value());
-    if (record_gaze.value() != record_gaze_)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "record_gaze flag differs from this "
-                             "session's configuration");
-    active_ = active.value();
-    long long *counters[] = {
-        &metrics_.submitted,
-        &metrics_.completed,
-        &metrics_.queue_drops,
-        &metrics_.drops_backpressure,
-        &metrics_.drops_shed_on_close,
-        &metrics_.drops_rate_downgrade,
-        &metrics_.drops_failover,
-        &metrics_.pipeline_drops,
-        &metrics_.deadline_misses,
-        &metrics_.max_queue_depth,
-        &metrics_.redispatched_frames,
-        &metrics_.degraded_res_frames,
-        &metrics_.drop_log_overflow,
-        &metrics_.steady_frames,
-        &metrics_.steady_allocs,
-        &metrics_.refresh_frames,
-        &metrics_.refresh_allocs,
-    };
-    for (long long *c : counters) {
-        auto v = r.i64();
-        if (!v.ok())
-            return v.status();
-        *c = v.value();
-    }
-    Status s = metrics_.latency_us.restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-    s = metrics_.latency_hist.restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-    // detlint:allow(R12) drop_log_cap_ is the validation bound, not decoded state.
-    auto drops = r.count(uint64_t(drop_log_cap_));
-    if (!drops.ok())
-        return drops.status();
-    metrics_.drop_log.clear();
-    metrics_.drop_log.reserve(size_t(drops.value()));
-    for (uint64_t i = 0; i < drops.value(); ++i) {
-        auto rec = readDropRecord(r);
-        if (!rec.ok())
-            return rec.status();
-        // detlint:allow(R8) bounded by drop_log_cap_ via the count check
-        metrics_.drop_log.push_back(rec.value());
-    }
-    for (double &g : last_gaze_) {
-        auto v = r.f64();
-        if (!v.ok())
-            return v.status();
-        g = v.value();
-    }
-    auto gaze_count = r.count(kMaxGazeLog);
-    if (!gaze_count.ok())
-        return gaze_count.status();
-    gaze_log_.clear();
-    gaze_log_.reserve(size_t(gaze_count.value()));
-    for (uint64_t i = 0; i < gaze_count.value(); ++i) {
-        dataset::GazeVec g{};
-        for (double &v : g) {
-            auto val = r.f64();
-            if (!val.ok())
-                return val.status();
-            v = val.value();
-        }
-        // detlint:allow(R8) bounded by kMaxGazeLog via the count check
-        gaze_log_.push_back(g);
-    }
-    auto last_degraded = r.b();
-    if (!last_degraded.ok())
-        return last_degraded.status();
-    last_degraded_ = last_degraded.value();
-    s = system_.restoreSnapshot(r);
-    if (!s.isOk())
-        return s;
-    return queue_.restoreSnapshot(r);
-}
-
 } // namespace serve
 } // namespace eyecod

@@ -159,14 +159,57 @@ class Session
      * log), gaze stream (record_gaze only), the wrapped system's
      * pipeline FSM, and the queued frame tickets.
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /**
      * Restore into a session constructed with the same id and
      * configuration (the engine rebuilds sessions from config before
      * restoring). Typed errors on any mismatch or corrupt field.
      */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    [[nodiscard]] Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &s, Ar &ar)
+    {
+        ar.tag(0x53455331); // "SES1"
+        ar.expect(s.id_);
+        ar.field(s.active_);
+        ar.expect(s.record_gaze_);
+        auto &m = s.metrics_;
+        ar.field(m.submitted);
+        ar.field(m.completed);
+        ar.field(m.queue_drops);
+        ar.field(m.drops_backpressure);
+        ar.field(m.drops_shed_on_close);
+        ar.field(m.drops_rate_downgrade);
+        ar.field(m.drops_failover);
+        ar.field(m.pipeline_drops);
+        ar.field(m.deadline_misses);
+        ar.field(m.max_queue_depth);
+        ar.field(m.redispatched_frames);
+        ar.field(m.degraded_res_frames);
+        ar.field(m.drop_log_overflow);
+        ar.field(m.steady_frames);
+        ar.field(m.steady_allocs);
+        ar.field(m.refresh_frames);
+        ar.field(m.refresh_allocs);
+        ar.field(m.latency_us);
+        ar.field(m.latency_hist);
+        ar.items(m.drop_log, uint64_t(s.drop_log_cap_));
+        ar.field(s.last_gaze_);
+        // Tests record a few thousand frames; more is corrupt input.
+        ar.items(s.gaze_log_, uint64_t(1) << 22);
+        ar.field(s.last_degraded_);
+        ar.field(s.system_);
+        ar.field(s.queue_);
+    }
 
   private:
     int id_;
@@ -179,15 +222,14 @@ class Session
     dataset::GazeVec last_gaze_{0, 0, 1};
     std::vector<dataset::GazeVec> gaze_log_;
     /** Persistent render target: renderInto() reuses its storage, so
-     *  steady-state serving allocates nothing for the scene. */
-    // detlint:allow(R12) persistent render target, repainted every frame.
+     *  steady-state serving allocates nothing for the scene. Not
+     *  snapshotted: repainted every frame. */
     dataset::EyeSample sample_;
     /** Tier-2 scratch: half-resolution + restored scenes. Both reuse
      *  their storage, so degraded steady frames stay zero-alloc after
-     *  the first downgrade transition. */
-    // detlint:allow(R12) tier-2 scratch, repainted before first use.
+     *  the first downgrade transition. Not snapshotted: repainted
+     *  before first use. */
     Image lowres_;
-    // detlint:allow(R12) tier-2 scratch, repainted before first use.
     Image restored_;
     /** Previous frame's resolution mode, to classify downgrade /
      *  recover transition frames out of the steady-alloc bucket. */

@@ -349,109 +349,5 @@ VirtualAccelPool::allIdle(long long now_us) const
     return true;
 }
 
-namespace {
-
-constexpr uint32_t kAccelPoolTag = 0x41504c31; // "APL1"
-
-void
-writeServiceModel(snap::SnapshotWriter &w, const ServiceModel &m)
-{
-    w.f64(m.gaze_frame_us);
-    w.f64(m.seg_frame_us);
-    w.f64(m.amortized_frame_us);
-    w.f64(m.chip_fps);
-}
-
-Status
-readServiceModel(snap::SnapshotReader &r, ServiceModel *out)
-{
-    auto gaze = r.f64();
-    auto seg = r.f64();
-    auto amortized = r.f64();
-    auto fps = r.f64();
-    if (!fps.ok())
-        return fps.status();
-    out->gaze_frame_us = gaze.value();
-    out->seg_frame_us = seg.value();
-    out->amortized_frame_us = amortized.value();
-    out->chip_fps = fps.value();
-    return Status::ok();
-}
-
-} // namespace
-
-void
-VirtualAccelPool::saveSnapshot(snap::SnapshotWriter &w) const
-{
-    w.tag(kAccelPoolTag);
-    w.u64(uint64_t(state_.size()));
-    for (const ChipState &chip : state_) {
-        w.b(chip.alive);
-        w.b(chip.usable);
-        w.i32(chip.retired_lanes);
-        w.i64(chip.busy_until_us);
-        writeServiceModel(w, chip.model);
-    }
-    w.f64(total_busy_us_);
-    w.u64(uint64_t(schedule_.size()));
-    w.u64(uint64_t(next_event_));
-}
-
-Status
-VirtualAccelPool::restoreSnapshot(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kAccelPoolTag);
-    if (!fence.isOk())
-        return fence;
-    auto chips_count = r.count(uint64_t(state_.size()));
-    if (!chips_count.ok())
-        return chips_count.status();
-    if (chips_count.value() != state_.size())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "pool has %zu chips, snapshot %llu",
-                             state_.size(),
-                             (unsigned long long)chips_count.value());
-    for (ChipState &chip : state_) {
-        auto alive = r.b();
-        auto usable = r.b();
-        auto retired = r.i32();
-        auto busy = r.i64();
-        if (!busy.ok())
-            return busy.status();
-        ServiceModel model;
-        Status s = readServiceModel(r, &model);
-        if (!s.isOk())
-            return s;
-        if (retired.value() < 0)
-            return Status::error(ErrorCode::CorruptSnapshot,
-                                 "negative retired-lane count %d",
-                                 retired.value());
-        chip.alive = alive.value();
-        chip.usable = usable.value();
-        chip.retired_lanes = retired.value();
-        chip.busy_until_us = busy.value();
-        chip.model = model;
-    }
-    auto total_busy = r.f64();
-    auto schedule_len = r.u64();
-    auto next_event = r.u64();
-    if (!next_event.ok())
-        return next_event.status();
-    if (schedule_len.value() != schedule_.size())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "fault schedule has %zu events, snapshot "
-                             "expects %llu",
-                             schedule_.size(),
-                             (unsigned long long)schedule_len.value());
-    if (next_event.value() > schedule_.size())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "schedule cursor %llu past %zu events",
-                             (unsigned long long)next_event.value(),
-                             schedule_.size());
-    total_busy_us_ = total_busy.value();
-    next_event_ = size_t(next_event.value());
-    return Status::ok();
-}
-
 } // namespace serve
 } // namespace eyecod

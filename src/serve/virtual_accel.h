@@ -68,6 +68,17 @@ struct ServiceModel
     double amortized_frame_us = 0.0;
     /** Single-chip steady throughput, frames per second. */
     double chip_fps = 0.0;
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &m, Ar &ar)
+    {
+        ar.field(m.gaze_frame_us);
+        ar.field(m.seg_frame_us);
+        ar.field(m.amortized_frame_us);
+        ar.field(m.chip_fps);
+    }
 };
 
 /**
@@ -257,7 +268,7 @@ class VirtualAccelPool
      * The schedule itself is configuration (installed via
      * setFaultSchedule); only its length rides along for validation.
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
+    void saveSnapshot(snap::SnapshotWriter &w) const { fields(*this, w); }
 
     /**
      * Restore into a pool built with the same chip count and fault
@@ -265,7 +276,28 @@ class VirtualAccelPool
      * applied before the snapshot are never replayed, pending ones
      * still fire. Typed errors on any mismatch.
      */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    [[nodiscard]] Status
+    restoreSnapshot(snap::SnapshotReader &r)
+    {
+        fields(*this, r);
+        return r.status();
+    }
+
+    /** Snapshot field list (common/snapshot.h). */
+    template <class Self, class Ar>
+    static void
+    fields(Self &p, Ar &ar)
+    {
+        ar.tag(0x41504c31); // "APL1"
+        ar.expect(uint64_t(p.state_.size()));
+        for (auto &chip : p.state_)
+            ar.field(chip);
+        ar.field(p.total_busy_us_);
+        ar.expect(uint64_t(p.schedule_.size()));
+        ar.field(snap::wire<uint64_t>(p.next_event_));
+        ar.check(p.next_event_ <= p.schedule_.size(),
+                 "schedule cursor past the last event");
+    }
 
   private:
     struct ChipState
@@ -275,6 +307,18 @@ class VirtualAccelPool
         int retired_lanes = 0;
         long long busy_until_us = 0;
         ServiceModel model; ///< Degraded once lanes retire.
+
+        template <class Self, class Ar>
+        static void
+        fields(Self &c, Ar &ar)
+        {
+            ar.field(c.alive);
+            ar.field(c.usable);
+            ar.field(c.retired_lanes);
+            ar.check(c.retired_lanes >= 0, "negative retired-lane count");
+            ar.field(c.busy_until_us);
+            ar.field(c.model);
+        }
     };
 
     /**
@@ -283,8 +327,12 @@ class VirtualAccelPool
      */
     const ServiceModel *degradedModel(int retired);
 
+    // Snapshots carry the chip states, the busy total and the
+    // schedule cursor. The rest is configuration (the schedule itself
+    // only travels as its length, for validation), re-established by
+    // configureHardware() on rebuild, or a memo cache re-derived on
+    // demand after restore.
     ServiceModel model_;
-    // detlint:allow(R12) construction-time config, not snapshot state.
     double batch_fraction_;
     std::vector<ChipState> state_;
     double total_busy_us_ = 0.0;
@@ -292,14 +340,10 @@ class VirtualAccelPool
     std::vector<ChipFaultEvent> schedule_;
     size_t next_event_ = 0;
 
-    // detlint:allow(R12) re-established by provisionHardware() on rebuild.
     bool have_hardware_ = false;
-    // detlint:allow(R12) re-established by provisionHardware() on rebuild.
     accel::PipelineWorkloadConfig workload_;
-    // detlint:allow(R12) re-established by provisionHardware() on rebuild.
     accel::HwConfig hw_;
     /** retired-lane count -> re-derived model (ordered: replayable). */
-    // detlint:allow(R12) memo cache, re-derived on demand after restore.
     std::map<int, ServiceModel> degraded_models_;
 };
 

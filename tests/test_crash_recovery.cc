@@ -307,9 +307,10 @@ TEST(CrashRecovery, CompletionLogSurvivesRestore)
 /** A small but state-rich snapshot for the hostile-input sweeps:
  *  killed mid-chaos, with retries pending and sessions churned. */
 std::vector<uint8_t>
-corpusSnapshot()
+corpusSnapshot(const core::SystemConfig &sys = servingTestSystem())
 {
-    const ServingConfig cfg = chaosConfig(1);
+    ServingConfig cfg = chaosConfig(1);
+    cfg.system = sys;
     const std::vector<SessionTraffic> traffic =
         makeTraffic(servingTestRenderer(), chaosTraffic());
     const std::vector<FlatEvent> events = flattenTrace(traffic);
@@ -406,6 +407,99 @@ TEST(CrashRecoveryHardening, WrongConfigurationIsTypedError)
     ASSERT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot)
         << s.toString();
+}
+
+/** Recompute the trailing FNV-1a seal over an edited snapshot, so a
+ *  restore gets past the integrity check to the field decoders. */
+void
+reseal(std::vector<uint8_t> &bytes)
+{
+    const size_t payload = bytes.size() - 8;
+    const uint64_t sum = snap::fnv1a(bytes.data(), payload);
+    for (int i = 0; i < 8; ++i)
+        bytes[payload + size_t(i)] = uint8_t((sum >> (8 * i)) & 0xffu);
+}
+
+TEST(CrashRecoveryHardening, WireFormatIsPinned)
+{
+    // Every other snapshot test is self-consistent (save, restore,
+    // save again), so a codec that changed a field's width on both
+    // sides would pass them all. These are the byte counts and
+    // FNV-1a hashes of the lens corpus and of the same drive with
+    // FlatCam sessions, which adds each sensor's noise stream (SNS1)
+    // inside its pipeline (PIP1); the values of x86-64
+    // libstdc++/glibc.
+    const std::vector<uint8_t> lens = corpusSnapshot();
+    EXPECT_EQ(lens.size(), 824201u);
+    EXPECT_EQ(snap::fnv1a(lens.data(), lens.size()), 0xaa61f42017f81459u)
+        << std::hex << snap::fnv1a(lens.data(), lens.size());
+    const std::vector<uint8_t> flatcam =
+        corpusSnapshot(flatcamServingTestSystem());
+    EXPECT_EQ(flatcam.size(), 900659u);
+    EXPECT_EQ(snap::fnv1a(flatcam.data(), flatcam.size()),
+              0x52f88358384f071cu)
+        << std::hex << snap::fnv1a(flatcam.data(), flatcam.size());
+}
+
+TEST(CrashRecoveryHardening, ResealedFlipsYieldTypedErrors)
+{
+    // The sweeps above stop at the seal. Resealing each mutant sends
+    // it on to the field decoders: one bit per byte over the
+    // snapshot's head (header, configuration fingerprint, engine
+    // counters) and tail (in-flight frames, retry queue, the last
+    // sessions' queues), restored into one engine. Pixels of the
+    // sessions' last views fill the middle; flips there decode OK.
+    const std::vector<uint8_t> snapshot = corpusSnapshot();
+    const ServingConfig cfg = chaosConfig(1);
+    ServingEngine eng(cfg, servingTestEstimator(),
+                      servingTestRenderer());
+    const size_t payload = snapshot.size() - 8;
+    const size_t edge = 768;
+    int decoded = 0, corrupt_past_header = 0;
+    std::vector<uint8_t> mutant = snapshot;
+    for (size_t byte = 0; byte < payload;
+         byte = (byte + 1 == edge ? payload - edge : byte + 1)) {
+        mutant[byte] = uint8_t(snapshot[byte] ^ (1u << (byte % 8)));
+        reseal(mutant);
+        const Status s = eng.restoreSnapshot(mutant);
+        ASSERT_TRUE(s.isOk() || s.code() == ErrorCode::CorruptSnapshot ||
+                    s.code() == ErrorCode::VersionMismatch)
+            << "flip at byte " << byte << ": " << s.toString();
+        decoded += s.isOk();
+        corrupt_past_header +=
+            byte >= 8 && s.code() == ErrorCode::CorruptSnapshot;
+        mutant[byte] = snapshot[byte];
+    }
+    EXPECT_GT(decoded, 0);
+    EXPECT_GT(corrupt_past_header, 0);
+
+    // Whatever the mutants left behind, a clean restore rebuilds the
+    // engine exactly.
+    const Status clean = eng.restoreSnapshot(snapshot);
+    ASSERT_TRUE(clean.isOk()) << clean.toString();
+    EXPECT_TRUE(eng.saveSnapshot() == snapshot);
+}
+
+TEST(CrashRecoveryHardening, HostileRetryCountIsCorrupt)
+{
+    // A zero-session engine's snapshot ends with its retry-queue
+    // count, the completion-log count and the seal. A retry count of
+    // 2^20 that no remaining byte backs must be refused before the
+    // queue is sized from it.
+    const ServingConfig cfg = chaosConfig(1);
+    ServingEngine eng(cfg, servingTestEstimator(),
+                      servingTestRenderer());
+    std::vector<uint8_t> hostile = eng.saveSnapshot();
+    ASSERT_EQ(hostile.size(), 2533u);
+    const size_t retry_count = hostile.size() - 24;
+    for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(hostile[retry_count + size_t(i)], 0u);
+    hostile[retry_count + 2] = 0x10; // 1 << 20, little-endian
+    reseal(hostile);
+    const Status s = eng.restoreSnapshot(hostile);
+    ASSERT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot) << s.toString();
+    EXPECT_EQ(eng.pendingRetries(), 0u);
 }
 
 TEST(CrashRecoveryHardening, EmptyAndTinyBuffersAreTypedErrors)

@@ -5,7 +5,7 @@
  * Each rule gets a failing fixture (every seeded violation must
  * be caught, at its exact line) and a passing fixture (idiomatic
  * deterministic code plus near-miss identifiers must stay silent).
- * R1-R9 are per-line token rules; R10-R12 run over the phase-2
+ * R1-R9 are per-line token rules; R10 and R11 run over the phase-2
  * declaration index (see index.h / symbol_rules.h) and are additionally
  * exercised across files via analyzeSources().
  * Scoping is exercised by re-analyzing the same fixture under a
@@ -373,6 +373,42 @@ TEST(DetlintR10, AllowCommentSuppresses)
     EXPECT_TRUE(analyzeSource("src/serve/s.h", src).empty());
 }
 
+TEST(DetlintR10, CrossFileMethodBodiesAreIndexed)
+{
+    // The guarded member is declared in a header; the method touching
+    // it lives out-of-line in a .cc. Only a repo-wide index pairs them.
+    const std::string header =
+        "class Meter\n"
+        "{\n"
+        "  public:\n"
+        "    long read() const;\n"
+        "    long locked() const;\n"
+        "\n"
+        "  private:\n"
+        "    mutable Mutex mu_;\n"
+        "    long ticks_ EYECOD_GUARDED_BY(mu_) = 0;\n"
+        "};\n";
+    const std::string impl =
+        "long\n"
+        "Meter::locked() const\n"
+        "{\n"
+        "    MutexLock lock(mu_);\n"
+        "    return ticks_;\n"
+        "}\n"
+        "\n"
+        "long\n"
+        "Meter::read() const\n"
+        "{\n"
+        "    return ticks_;\n"
+        "}\n";
+    const auto findings = analyzeSources(
+        {{"src/serve/meter.h", header}, {"src/serve/meter.cc", impl}});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, Rule::R10LockDiscipline);
+    EXPECT_EQ(findings[0].file, "src/serve/meter.cc");
+    EXPECT_EQ(findings[0].line, 11); // read(): no lock held
+}
+
 TEST(DetlintR11, FailingFixtureCaughtAtExactLines)
 {
     const auto got =
@@ -410,61 +446,6 @@ TEST(DetlintR11, AllowCommentSuppresses)
         "    ImageView staging_;\n"
         "};\n";
     EXPECT_TRUE(analyzeSource("src/eyetrack/t.h", src).empty());
-}
-
-TEST(DetlintR12, FailingFixtureCaughtAtExactLines)
-{
-    const auto got =
-        ruleLines(runOn("r12_fail.cc", "src/serve/r12_fail.cc"));
-    // Line 10: evictions_ saved but never restored; line 18: floor_
-    // restored but never saved; line 26: peak_depth_ covered by
-    // neither side.
-    const RL want = {{Rule::R12SnapshotCoverage, 10},
-                     {Rule::R12SnapshotCoverage, 18},
-                     {Rule::R12SnapshotCoverage, 26}};
-    EXPECT_EQ(got, want);
-}
-
-TEST(DetlintR12, PassingFixtureIsSilent)
-{
-    // Symmetric codec, an allow-suppressed scratch field, a
-    // writer-only class (unchecked), and an accessor-only free codec
-    // pair (nothing to cross-check).
-    EXPECT_TRUE(runOn("r12_pass.cc", "src/serve/r12_pass.cc").empty());
-}
-
-TEST(DetlintR12, CrossFileCodecBodiesAreIndexed)
-{
-    // The class lives in a header; its codec bodies live out-of-line
-    // in a .cc. Only a repo-wide index can pair them.
-    const std::string header =
-        "struct Meter\n"
-        "{\n"
-        "    void saveSnapshot(SnapshotWriter &w) const;\n"
-        "    Status restoreSnapshot(SnapshotReader &r);\n"
-        "    long ticks_ = 0;\n"
-        "    long skew_ = 0;\n"
-        "};\n";
-    const std::string impl =
-        "void\n"
-        "Meter::saveSnapshot(SnapshotWriter &w) const\n"
-        "{\n"
-        "    w.i64(ticks_);\n"
-        "    w.i64(skew_);\n"
-        "}\n"
-        "\n"
-        "Status\n"
-        "Meter::restoreSnapshot(SnapshotReader &r)\n"
-        "{\n"
-        "    ticks_ = r.i64();\n"
-        "    return Status::ok();\n"
-        "}\n";
-    const auto findings = analyzeSources(
-        {{"src/serve/meter.h", header}, {"src/serve/meter.cc", impl}});
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, Rule::R12SnapshotCoverage);
-    EXPECT_EQ(findings[0].file, "src/serve/meter.cc");
-    EXPECT_EQ(findings[0].line, 5); // w.i64(skew_): never restored
 }
 
 TEST(DetlintTree, FixtureDirectoryReproducesFindings)
@@ -514,7 +495,6 @@ TEST(DetlintOutput, RuleIdsAndNamesRoundTrip)
                    Rule::R7ImageCopy, Rule::R8UnboundedPushBack,
                    Rule::R9RawMemcpySerialize,
                    Rule::R10LockDiscipline, Rule::R11ViewEscape,
-                   Rule::R12SnapshotCoverage,
                    Rule::H1HeaderSelfContained}) {
         Rule parsed;
         ASSERT_TRUE(parseRule(ruleId(r), &parsed));

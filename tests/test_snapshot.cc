@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/snapshot.h"
 #include "common/stats.h"
@@ -131,6 +133,102 @@ TEST(SnapshotCodec, ContainerCountIsBounded)
     ok.u64(1000);
     SnapshotReader r2(ok.bytes());
     EXPECT_EQ(r2.count(1000).value(), 1000u);
+}
+
+TEST(SnapshotCodec, StatusKeepsTheFirstError)
+{
+    // A routine that batches reads and checks once learns the cause,
+    // not that the reader had already failed.
+    SnapshotWriter w;
+    w.u8(2); // invalid bool byte
+    SnapshotReader r(w.bytes());
+    bool flag = false;
+    uint32_t word = 7;
+    r.field(flag);
+    r.field(word); // past the end
+    ASSERT_EQ(r.status().code(), ErrorCode::CorruptSnapshot);
+    EXPECT_NE(r.status().message().find("bool byte"), std::string::npos)
+        << r.status().toString();
+    EXPECT_EQ(word, 7u);
+    EXPECT_EQ(r.u32().status().message(), r.status().message());
+}
+
+TEST(SnapshotCodec, HostileContainerCountSizesNothing)
+{
+    // Within its limit but past the remaining bytes (each element
+    // takes at least one): refused before the vector is sized.
+    SnapshotWriter w;
+    w.u64(1000);
+    SnapshotReader r(w.bytes());
+    std::vector<double> v;
+    r.items(v, 1000);
+    EXPECT_EQ(r.status().code(), ErrorCode::CorruptSnapshot);
+    EXPECT_EQ(v.capacity(), 0u);
+}
+
+/** One field list exercising every archive op. */
+struct ArchiveProbe
+{
+    size_t cap = 4;
+    int id = 0;
+    std::optional<Rect> roi;
+    std::vector<long long> log;
+    ErrorCode code = ErrorCode::Ok;
+
+    template <class Self, class Ar>
+    static void
+    fields(Self &p, Ar &ar)
+    {
+        ar.tag(0x50524f42);
+        ar.expect(uint64_t(p.cap));
+        ar.field(p.id);
+        ar.check(p.id >= 0, "negative id");
+        ar.field(p.roi);
+        ar.items(p.log, uint64_t(p.cap));
+        ar.field(wire<int32_t>(p.code));
+    }
+};
+
+TEST(SnapshotArchive, OneFieldListDrivesBothSides)
+{
+    ArchiveProbe in;
+    in.id = 9;
+    in.roi = Rect{1, 2, 3, 4};
+    in.log = {-5, 6};
+    in.code = ErrorCode::CorruptSnapshot;
+    SnapshotWriter w;
+    w.field(in);
+    // tag, u64 cap, i32 id, presence byte + 4 x i32, u64 count +
+    // 2 x i64, i32 code.
+    EXPECT_EQ(w.bytes().size(), 4u + 8 + 4 + 1 + 16 + 8 + 16 + 4);
+
+    ArchiveProbe out;
+    out.log = {1, 2, 3};
+    SnapshotReader r(w.bytes());
+    r.field(out);
+    ASSERT_TRUE(r.status().isOk()) << r.status().toString();
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(out.id, 9);
+    ASSERT_TRUE(out.roi.has_value());
+    EXPECT_EQ(out.roi->height, 4);
+    EXPECT_EQ(out.log, in.log);
+    EXPECT_EQ(out.code, ErrorCode::CorruptSnapshot);
+
+    // expect(): a live value the snapshot disagrees with is corrupt.
+    ArchiveProbe narrow;
+    narrow.cap = 3;
+    SnapshotReader r2(w.bytes());
+    r2.field(narrow);
+    EXPECT_EQ(r2.status().code(), ErrorCode::CorruptSnapshot);
+
+    // check(): the writer ignores it, the reader enforces it.
+    ArchiveProbe negative;
+    negative.id = -1;
+    SnapshotWriter w3;
+    w3.field(negative);
+    SnapshotReader r3(w3.bytes());
+    r3.field(out);
+    EXPECT_EQ(r3.status().code(), ErrorCode::CorruptSnapshot);
 }
 
 TEST(SnapshotCodec, TrailingBytesFailExpectEnd)

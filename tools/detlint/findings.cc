@@ -32,8 +32,6 @@ allRules()
          "EYECOD_GUARDED_BY member accessed without its mutex"},
         {Rule::R11ViewEscape, "R11", "view-escape",
          "arena view stored where it outlives its epoch"},
-        {Rule::R12SnapshotCoverage, "R12", "snapshot-coverage",
-         "snapshot writer/reader field sets drift"},
         {Rule::H1HeaderSelfContained, "H1", "header-self-contained",
          "header fails to compile standalone"},
     };

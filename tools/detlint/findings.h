@@ -33,7 +33,6 @@ enum class Rule {
                           ///  in snapshot/codec code.
     R10LockDiscipline,  ///< EYECOD_GUARDED_BY member touched lock-free.
     R11ViewEscape,      ///< Arena view stored past its epoch.
-    R12SnapshotCoverage, ///< Writer/reader field sets drift.
     H1HeaderSelfContained, ///< Header fails standalone compile.
 };
 

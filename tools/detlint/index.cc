@@ -126,7 +126,7 @@ struct Stmt
     std::string type; ///< Space-joined tokens before a var's name.
     bool is_static = false;
     bool tilde = false; ///< '~' seen before the name (destructor).
-    size_t sig_begin = 0, sig_end = 0;
+    size_t sig_begin = 0; ///< First token of the declaration.
     size_t body_begin = 0, body_end = 0;
     int line = 0;
     size_t next = 0; ///< Resume index after the statement.
@@ -292,7 +292,6 @@ class FileParser
                     s.kind = Stmt::Var;
                     s.name = last_ident;
                     s.type = joined(s.sig_begin, name_tok);
-                    s.sig_end = j;
                     s.next = skipToSemicolon(j, end);
                     return s;
                 }
@@ -301,7 +300,6 @@ class FileParser
                     s.kind = Stmt::Var;
                     s.name = last_ident;
                     s.type = joined(s.sig_begin, name_tok);
-                    s.sig_end = j;
                     s.next = skipToSemicolon(matchBrace(t, j), end);
                     return s;
                 }
@@ -310,7 +308,6 @@ class FileParser
                     s.kind = last_ident.empty() ? Stmt::Other : Stmt::Var;
                     s.name = last_ident;
                     s.type = joined(s.sig_begin, name_tok);
-                    s.sig_end = j;
                     s.next = p == ";" ? j + 1 : skipToSemicolon(j, end);
                     return s;
                 }
@@ -394,13 +391,11 @@ class FileParser
                 continue;
             }
             if (isPunct(tok, ";")) {
-                s.sig_end = j;
                 s.next = j + 1;
                 return s;
             }
             if (isPunct(tok, "=")) {
                 // = default / = delete / = 0.
-                s.sig_end = j;
                 s.next = skipToSemicolon(j, end);
                 return s;
             }
@@ -436,7 +431,6 @@ class FileParser
                 continue;
             }
             if (isPunct(tok, "{")) {
-                s.sig_end = j;
                 s.body_begin = j;
                 s.body_end = matchBrace(t, j) + 1;
                 s.next = s.body_end;
@@ -446,7 +440,6 @@ class FileParser
             }
             ++j; // -> & * && ...
         }
-        s.sig_end = end;
         s.next = end;
         return s;
     }
@@ -584,8 +577,6 @@ class FileParser
                 fn.name = s.name;
                 fn.file = file;
                 fn.line = s.line;
-                fn.sig_begin = s.sig_begin;
-                fn.sig_end = s.sig_end;
                 fn.body_begin = s.body_begin;
                 fn.body_end = s.body_end;
                 fn.requires_caps = s.requires_caps;
@@ -599,16 +590,6 @@ class FileParser
                     }
                     pd.fn = fn;
                     pending->push_back(pd);
-                } else {
-                    FreeFunc ff;
-                    ff.name = fn.name;
-                    ff.file = file;
-                    ff.line = fn.line;
-                    ff.sig_begin = fn.sig_begin;
-                    ff.sig_end = fn.sig_end;
-                    ff.body_begin = fn.body_begin;
-                    ff.body_end = fn.body_end;
-                    ix->free_funcs.push_back(ff);
                 }
             }
             i = s.next > i ? s.next : i + 1;
@@ -701,8 +682,6 @@ class FileParser
                 fn.name = s.name;
                 fn.file = file;
                 fn.line = s.line;
-                fn.sig_begin = s.sig_begin;
-                fn.sig_end = s.sig_end;
                 fn.body_begin = s.body_begin;
                 fn.body_end = s.body_end;
                 fn.requires_caps = s.requires_caps;

@@ -3,15 +3,13 @@
  * Phase 1 of detlint's two-phase analysis: the declaration index.
  *
  * detlint v1 was a per-line token scanner; the cross-file rules
- * (R10 lock-discipline, R11 view-escape, R12 snapshot-coverage)
- * need symbols. buildIndex() walks every scanned file's token
- * stream once and records, per class: the data members (with their
- * EYECOD_GUARDED_BY annotations and flattened type text), and the
- * member-function bodies as token ranges — including out-of-line
- * `Class::method` definitions in other files, matched back to the
- * declaring class by qualifier suffix. Free functions keep their
- * signature and body ranges too, so codec pairs written as free
- * functions (writeTicket/readTicket) participate in R12.
+ * (R10 lock-discipline, R11 view-escape) need symbols. buildIndex()
+ * walks every scanned file's token stream once and records, per
+ * class: the data members (with their EYECOD_GUARDED_BY annotations
+ * and flattened type text), and the member-function bodies as token
+ * ranges — including out-of-line `Class::method` definitions in
+ * other files, matched back to the declaring class by qualifier
+ * suffix.
  *
  * The index is built from the comment- and preprocessor-free token
  * stream (SourceFile::code), so `#define EYECOD_GUARDED_BY(x)` in a
@@ -128,11 +126,8 @@ struct MemberFunc
     std::string name;
     size_t file = 0;
     int line = 0;
-    /** Signature tokens [sig_begin, sig_end) in the file's code
-     *  stream: return type through the parameter list and trailing
-     *  qualifiers (everything before the body / semicolon). */
-    size_t sig_begin = 0, sig_end = 0;
-    /** Body tokens [body_begin, body_end) including both braces;
+    /** Body tokens [body_begin, body_end) in the file's code stream,
+     *  including both braces;
      *  body_begin == body_end for a declaration without a body. */
     size_t body_begin = 0, body_end = 0;
     /** Capabilities from EYECOD_REQUIRES(...) on the signature. */
@@ -162,21 +157,10 @@ struct ClassInfo
     }
 };
 
-/** One free (namespace-scope) function definition. */
-struct FreeFunc
-{
-    std::string name;
-    size_t file = 0;
-    int line = 0;
-    size_t sig_begin = 0, sig_end = 0;
-    size_t body_begin = 0, body_end = 0;
-};
-
 /** The repo-wide declaration index (phase 1 output). */
 struct DeclIndex
 {
     std::vector<ClassInfo> classes;
-    std::vector<FreeFunc> free_funcs;
 
     /**
      * Class whose scope chain matches @p qualifier — exactly, or as

@@ -682,8 +682,7 @@ analyzeSources(
 
     // Cross-file symbol rules over the declaration index.
     if (opts.runs(Rule::R10LockDiscipline) ||
-        opts.runs(Rule::R11ViewEscape) ||
-        opts.runs(Rule::R12SnapshotCoverage)) {
+        opts.runs(Rule::R11ViewEscape)) {
         const DeclIndex ix = buildIndex(files);
         std::vector<Finding> sym = runSymbolRules(ix, files, opts);
         raw.insert(raw.end(), std::make_move_iterator(sym.begin()),

@@ -45,10 +45,9 @@
  *     (common/snapshot.h) so the format stays portable and a hostile
  *     snapshot can never be reinterpreted as a live struct.
  *
- * The symbol-aware rules (R10 lock-discipline, R11 view-escape, R12
- * snapshot-coverage) run in a second phase over a repo-wide
- * declaration index — see index.h and symbol_rules.h for the model
- * each enforces.
+ * The symbol-aware rules (R10 lock-discipline, R11 view-escape) run
+ * in a second phase over a repo-wide declaration index — see index.h
+ * and symbol_rules.h for the model each enforces.
  *
  * The list above is documentation; the authoritative rule table is
  * allRules() in findings.h, which every listing (parseRule,
@@ -99,7 +98,7 @@ std::vector<Finding> analyzeSource(const std::string &relpath,
 
 /**
  * Analyze a set of translation units together: the per-line rules
- * run on each file, then the symbol rules (R10/R11/R12) run over a
+ * run on each file, then the symbol rules (R10/R11) run over a
  * declaration index built from all of them, so a class declared in
  * one file is checked against method bodies defined in another.
  * @param sources (repo-relative path, file content) pairs.

@@ -294,195 +294,6 @@ checkViewEscape(const DeclIndex &ix,
     }
 }
 
-// ---------------------------------------------------------------------
-// R12: snapshot writer/reader coverage.
-// ---------------------------------------------------------------------
-
-/** First-reference line per member name, per codec side. */
-struct SideRefs
-{
-    bool present = false;
-    std::map<std::string, std::pair<std::string, int>> refs;
-};
-
-bool
-sigMentions(const std::vector<Token> &code, size_t begin, size_t end,
-            const char *name)
-{
-    for (size_t i = begin; i < end && i < code.size(); ++i)
-        if (isIdent(code[i], name))
-            return true;
-    return false;
-}
-
-/** Member name the identifier @p text references under the loose
- *  accessor heuristic; "" when it matches no member. */
-std::string
-looseMemberMatch(const std::set<std::string> &members,
-                 const std::string &text)
-{
-    if (members.count(text))
-        return text;
-    if (members.count(text + "_"))
-        return text + "_";
-    return "";
-}
-
-void
-collectRefs(const std::vector<SourceFile> &files, size_t file,
-            size_t body_begin, size_t body_end,
-            const std::set<std::string> &members, SideRefs *side)
-{
-    side->present = true;
-    const std::vector<Token> &code = files[file].code;
-    for (size_t i = body_begin; i < body_end && i < code.size(); ++i) {
-        if (code[i].kind != TokKind::Identifier)
-            continue;
-        const std::string m = looseMemberMatch(members, code[i].text);
-        if (m.empty())
-            continue;
-        side->refs.emplace(m, std::make_pair(files[file].relpath,
-                                             code[i].line));
-    }
-}
-
-void
-checkSnapshotCoverage(const DeclIndex &ix,
-                      const std::vector<SourceFile> &files,
-                      std::vector<Finding> *out)
-{
-    // Last name component -> class index (-2 when ambiguous).
-    std::map<std::string, int> by_last;
-    for (size_t c = 0; c < ix.classes.size(); ++c) {
-        const std::string &name = ix.classes[c].name;
-        const size_t sep = name.rfind("::");
-        const std::string last =
-            sep == std::string::npos ? name : name.substr(sep + 2);
-        auto it = by_last.find(last);
-        if (it == by_last.end())
-            by_last[last] = int(c);
-        else
-            it->second = -2;
-    }
-
-    std::vector<SideRefs> writers(ix.classes.size());
-    std::vector<SideRefs> readers(ix.classes.size());
-    std::vector<std::set<std::string>> member_names(ix.classes.size());
-    for (size_t c = 0; c < ix.classes.size(); ++c)
-        for (const MemberVar &m : ix.classes[c].members)
-            if (!m.is_static)
-                member_names[c].insert(m.name);
-
-    auto side_of = [](const std::string &name, bool *writer) -> bool {
-        if (startsWith(name, "save") || startsWith(name, "write")) {
-            *writer = true;
-            return true;
-        }
-        if (startsWith(name, "restore") || startsWith(name, "read")) {
-            *writer = false;
-            return true;
-        }
-        return false;
-    };
-
-    // Member codecs.
-    for (size_t c = 0; c < ix.classes.size(); ++c) {
-        for (const MemberFunc &fn : ix.classes[c].methods) {
-            bool writer = false;
-            if (!fn.hasBody() || !side_of(fn.name, &writer))
-                continue;
-            const std::vector<Token> &code = files[fn.file].code;
-            if (!sigMentions(code, fn.sig_begin, fn.sig_end,
-                             writer ? "SnapshotWriter"
-                                    : "SnapshotReader"))
-                continue;
-            collectRefs(files, fn.file, fn.body_begin, fn.body_end,
-                        member_names[c],
-                        writer ? &writers[c] : &readers[c]);
-        }
-    }
-
-    // Free codecs: paired to the unique indexed class named in the
-    // signature (return type included — `Result<Rect> readRect(...)`
-    // names its target only there). Error/codec plumbing types can
-    // appear in any codec's signature and never are the target.
-    const std::set<std::string> kPlumbing = {
-        "SnapshotWriter", "SnapshotReader", "Status", "Result"};
-    for (const FreeFunc &fn : ix.free_funcs) {
-        bool writer = false;
-        if (!side_of(fn.name, &writer))
-            continue;
-        const std::vector<Token> &code = files[fn.file].code;
-        if (!sigMentions(code, fn.sig_begin, fn.sig_end,
-                         writer ? "SnapshotWriter" : "SnapshotReader"))
-            continue;
-        int target = -1;
-        bool ambiguous = false;
-        for (size_t i = fn.sig_begin; i < fn.sig_end; ++i) {
-            if (code[i].kind != TokKind::Identifier ||
-                kPlumbing.count(code[i].text))
-                continue;
-            auto it = by_last.find(code[i].text);
-            if (it == by_last.end() || it->second < 0)
-                continue;
-            if (target >= 0 && target != it->second) {
-                ambiguous = true; // two candidate classes
-                break;
-            }
-            target = it->second;
-        }
-        if (target < 0 || ambiguous)
-            continue;
-        collectRefs(files, fn.file, fn.body_begin, fn.body_end,
-                    member_names[size_t(target)],
-                    writer ? &writers[size_t(target)]
-                           : &readers[size_t(target)]);
-    }
-
-    for (size_t c = 0; c < ix.classes.size(); ++c) {
-        const SideRefs &w = writers[c];
-        const SideRefs &r = readers[c];
-        if (!w.present || !r.present)
-            continue;
-        // Accessor-only codecs (e.g. Image's writeImage/readImage
-        // driving the public API) reference no field directly on
-        // either side: nothing to cross-check.
-        if (w.refs.empty() && r.refs.empty())
-            continue;
-        const ClassInfo &cls = ix.classes[c];
-        for (const auto &[m, loc] : w.refs) {
-            if (!r.refs.count(m))
-                out->push_back(
-                    {Rule::R12SnapshotCoverage, loc.first, loc.second,
-                     "snapshot writer for " + cls.name +
-                         " references '" + m +
-                         "' but no reader restores it; the field is "
-                         "silently lost across checkpoint/restore"});
-        }
-        for (const auto &[m, loc] : r.refs) {
-            if (!w.refs.count(m))
-                out->push_back(
-                    {Rule::R12SnapshotCoverage, loc.first, loc.second,
-                     "snapshot reader for " + cls.name +
-                         " references '" + m +
-                         "' but no writer saves it; restore reads a "
-                         "field the format never carries"});
-        }
-        for (const MemberVar &m : cls.members) {
-            if (m.is_static || w.refs.count(m.name) ||
-                r.refs.count(m.name))
-                continue;
-            out->push_back(
-                {Rule::R12SnapshotCoverage, files[m.file].relpath,
-                 m.line,
-                 "member '" + m.name + "' of " + cls.name +
-                     " is covered by neither snapshot writer nor "
-                     "reader; state it is rebuilt (detlint:allow) or "
-                     "add it to the codec"});
-        }
-    }
-}
-
 } // namespace
 
 std::vector<Finding>
@@ -494,8 +305,6 @@ runSymbolRules(const DeclIndex &ix, const std::vector<SourceFile> &files,
         checkLockDiscipline(ix, files, &out);
     if (opts.runs(Rule::R11ViewEscape))
         checkViewEscape(ix, files, &out);
-    if (opts.runs(Rule::R12SnapshotCoverage))
-        checkSnapshotCoverage(ix, files, &out);
     return out;
 }
 

@@ -18,17 +18,8 @@
  *      function returning a reference to a view, or a member
  *      assigned from an arena allocation — dangles at the next
  *      arena reset. Scoped to the frame-spine dirs + src/core/.
- *  R12 snapshot-coverage: for every class with both a snapshot
- *      writer (save.. or write.. taking a SnapshotWriter) and a
- *      reader (restore.. or read.. taking a SnapshotReader), the
- *      member sets the
- *      two sides reference must agree, and together they must cover
- *      every declared field; a field the writer saves but no reader
- *      restores (or vice versa) is format drift that silently loses
- *      state across checkpoint/restore. Free codec functions are
- *      paired to their class through the parameter list.
  *
- * All three rules run over the DeclIndex (index.h) and honor the
+ * Both rules run over the DeclIndex (index.h) and honor the
  * same detlint:allow suppression comments as the per-line rules,
  * anchored at the finding's own file and line.
  */
@@ -44,7 +35,7 @@
 namespace eyecod {
 namespace detlint {
 
-/** Run R10/R11/R12 over the index (suppressions NOT yet applied —
+/** Run R10/R11 over the index (suppressions NOT yet applied —
  *  the caller filters against each finding's anchor file). */
 std::vector<Finding> runSymbolRules(const DeclIndex &ix,
                                     const std::vector<SourceFile> &files,
