@@ -20,6 +20,33 @@ mixSeed(uint64_t seed, uint64_t index)
     return z ^ (z >> 31);
 }
 
+/**
+ * Standard normals of one Rng, in its stream order, drawn a block at
+ * a time through Rng::fillGaussian. It reads ahead up to one block,
+ * so the Rng must not be drawn from otherwise while the stream lives.
+ */
+class NormalStream
+{
+  public:
+    explicit NormalStream(Rng &rng) : rng_(rng) {}
+
+    double
+    next()
+    {
+        if (pos_ == kBlock) {
+            rng_.fillGaussian(block_, kBlock);
+            pos_ = 0;
+        }
+        return block_[pos_++];
+    }
+
+  private:
+    static constexpr size_t kBlock = 256;
+    Rng &rng_;
+    double block_[kBlock];
+    size_t pos_ = kBlock;
+};
+
 } // namespace
 
 SegMask
@@ -111,15 +138,6 @@ SyntheticEyeRenderer::renderInto(const EyeParams &p,
         ph[i] = rng.uniform(0.0, 2.0 * M_PI);
         amp[i] = rng.uniform(0.01, 0.035);
     }
-    for (int y = 0; y < n; ++y) {
-        for (int x = 0; x < n; ++x) {
-            double v = s.image.at(y, x);
-            for (int i = 0; i < waves; ++i)
-                v += amp[i] * std::sin(wy[i] * y + wx[i] * x + ph[i]);
-            v += rng.gaussian(0.0, cfg_.texture_noise);
-            s.image.at(y, x) = float(v);
-        }
-    }
 
     // Geometry. Image y grows downward, so positive pitch (up) moves
     // the iris centre up, i.e. toward smaller y.
@@ -147,23 +165,54 @@ SyntheticEyeRenderer::renderInto(const EyeParams &p,
         const double dx = (x - cx) / rx;
         return dy * dy + dx * dx <= 1.0;
     };
+    auto in_aperture = [&](int y, int x) {
+        return inside(y, x, p.eye_cy, p.eye_cx, ap_ry, ap_rx);
+    };
 
+    // Every noise term is the next standard normal z of one stream,
+    // scaled where it is used: z * sd has the bits of the
+    // gaussian(0.0, sd) draw it replaces. The draw order is one
+    // texture draw per pixel, then the sclera, iris and pupil draws
+    // of each aperture pixel, then one capture draw per pixel.
+    NormalStream z(rng);
+
+    // Texture noise is drawn for every pixel, but the aperture loop
+    // below overwrites aperture pixels, so their ripples are skipped.
     for (int y = 0; y < n; ++y) {
         for (int x = 0; x < n; ++x) {
-            if (!inside(y, x, p.eye_cy, p.eye_cx, ap_ry, ap_rx))
+            const double noise = z.next();
+            if (in_aperture(y, x))
+                continue;
+            double v = s.image.at(y, x);
+            for (int i = 0; i < waves; ++i)
+                v += amp[i] * std::sin(wy[i] * y + wx[i] * x + ph[i]);
+            v += noise * cfg_.texture_noise;
+            s.image.at(y, x) = float(v);
+        }
+    }
+
+    const double sclera_sd = cfg_.texture_noise * 1.5;
+    const double pupil_sd = cfg_.texture_noise * 0.5;
+    for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+            if (!in_aperture(y, x))
                 continue; // skin / eyelid
-            double v = cfg_.sclera_level + rng.gaussian(
-                0.0, cfg_.texture_noise * 1.5);
-            uint8_t cls = kSclera;
-            if (inside(y, x, iris_cy, iris_cx, iris_ry, iris_rx)) {
-                const double ang =
-                    std::atan2(y - iris_cy, x - iris_cx);
-                v = cfg_.iris_level + 0.05 * std::sin(8.0 * ang) +
-                    rng.gaussian(0.0, cfg_.texture_noise);
-                cls = kIris;
-                if (inside(y, x, iris_cy, iris_cx, pup_ry, pup_rx)) {
-                    v = cfg_.pupil_level +
-                        rng.gaussian(0.0, cfg_.texture_noise * 0.5);
+            const double sclera_noise = z.next();
+            double v;
+            uint8_t cls;
+            if (!inside(y, x, iris_cy, iris_cx, iris_ry, iris_rx)) {
+                v = cfg_.sclera_level + sclera_noise * sclera_sd;
+                cls = kSclera;
+            } else {
+                const double iris_noise = z.next();
+                if (!inside(y, x, iris_cy, iris_cx, pup_ry, pup_rx)) {
+                    const double ang =
+                        std::atan2(y - iris_cy, x - iris_cx);
+                    v = cfg_.iris_level + 0.05 * std::sin(8.0 * ang) +
+                        iris_noise * cfg_.texture_noise;
+                    cls = kIris;
+                } else {
+                    v = cfg_.pupil_level + z.next() * pupil_sd;
                     cls = kPupil;
                 }
             }
@@ -191,7 +240,7 @@ SyntheticEyeRenderer::renderInto(const EyeParams &p,
     // Capture noise.
     if (cfg_.sensor_noise > 0.0) {
         for (float &v : s.image.data())
-            v += float(rng.gaussian(0.0, cfg_.sensor_noise));
+            v += float(z.next() * cfg_.sensor_noise);
     }
     s.image.clamp();
 }

@@ -1,8 +1,7 @@
 #include "flatcam/imaging.h"
 
+#include <algorithm>
 #include <cmath>
-#include <random>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -20,6 +19,9 @@ FlatCamSensor::FlatCamSensor(std::shared_ptr<const SensorOptics> optics,
     : optics_(std::move(optics)), noise_(noise), rng_(noise.seed)
 {
     eyecod_assert(optics_ != nullptr, "sensor without optics");
+    scene_mat_.resetShape(size_t(sceneRows()), size_t(sceneCols()));
+    left_prod_.resetShape(size_t(sensorRows()), size_t(sceneCols()));
+    measurement_.resetShape(size_t(sensorRows()), size_t(sensorCols()));
 }
 
 Image
@@ -66,27 +68,6 @@ FlatCamSensor::resetNoise()
     rng_ = Rng(noise_.seed);
 }
 
-std::string
-FlatCamSensor::noiseState() const
-{
-    std::ostringstream os;
-    os << rng_.engine();
-    return os.str();
-}
-
-bool
-FlatCamSensor::setNoiseState(const std::string &text)
-{
-    std::istringstream is(text);
-    // detlint:allow(R1) restoring the seeded Rng's own engine state
-    std::mt19937_64 engine;
-    is >> engine;
-    if (is.fail())
-        return false;
-    rng_.engine() = engine;
-    return true;
-}
-
 void
 FlatCamSensor::multiplexInto(ImageConstView scene, Image *out) const
 {
@@ -102,10 +83,19 @@ FlatCamSensor::multiplexInto(ImageConstView scene, Image *out) const
             v = double(rng_.poisson(photons)) / scale;
         }
     }
-    // Additive Gaussian read noise.
+    // Additive Gaussian read noise: exactly one draw per element, in
+    // element order, through a stack block.
     if (noise_.read_noise > 0.0) {
-        for (double &v : measurement_.data())
-            v += rng_.gaussian(0.0, noise_.read_noise);
+        constexpr size_t kBlock = 512;
+        double noise[kBlock];
+        double *v = measurement_.data().data();
+        const size_t count = measurement_.data().size();
+        for (size_t i = 0; i < count; i += kBlock) {
+            const size_t len = std::min(kBlock, count - i);
+            rng_.fillGaussian(noise, len, 0.0, noise_.read_noise);
+            for (size_t j = 0; j < len; ++j)
+                v[i + j] += noise[j];
+        }
     }
     matrixToImageInto(measurement_, out);
 }

@@ -7,7 +7,7 @@
  *
  * captureFrameInto() is the zero-copy spine: it takes the scene as a
  * non-owning view, runs the forward model through per-sensor matrix
- * scratch (warmed once, reused every frame), and writes the
+ * scratch (sized at construction, reused every frame), and writes the
  * measurement into a caller-owned image — zero heap allocations in
  * steady state. The mask and PhiR^T are immutable SensorOptics
  * (optics.h), shared by every sensor of one mask.
@@ -22,6 +22,7 @@
 
 #include "common/image.h"
 #include "common/image_view.h"
+#include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/status.h"
 #include "flatcam/fault_injection.h"
@@ -102,20 +103,20 @@ class FlatCamSensor
     /**
      * Snapshot field list (common/snapshot.h): the noise RNG's stream
      * position — the only mutable state a sensor carries that the
-     * seed alone cannot rebuild — as the engine's standard text. A
-     * restored sensor continues the read/shot-noise stream from the
-     * exact draw the snapshot was taken at (bitwise replay across a
-     * checkpoint boundary).
+     * seed alone cannot rebuild — as the engine's standard text
+     * (Mt19937_64::text()). A restored sensor continues the
+     * read/shot-noise stream from the exact draw the snapshot was
+     * taken at (bitwise replay across a checkpoint boundary).
      */
     template <class Self, class Ar>
     static void
     fields(Self &cam, Ar &ar)
     {
         ar.tag(0x534e5331); // "SNS1"
-        std::string state = cam.noiseState();
+        std::string state = cam.rng_.engine().text();
         ar.field(state, size_t(1) << 15); // ~6.3 KB in practice
         if constexpr (Ar::kLoading)
-            ar.check(cam.setNoiseState(state),
+            ar.check(cam.rng_.engine().parseText(state),
                      "unparsable sensor RNG stream state");
     }
 
@@ -134,14 +135,6 @@ class FlatCamSensor
     /** The noisy forward model, shared by both capture paths. */
     void multiplexInto(ImageConstView scene, Image *out) const;
 
-    /** The noise engine's state in its standard text form (decimal
-     *  words, space-separated). */
-    std::string noiseState() const;
-
-    /** Load noiseState() text; false, engine untouched, when it does
-     *  not parse. */
-    bool setNoiseState(const std::string &text);
-
     // Only rng_ is snapshotted: the optics are immutable, the noise
     // model is config, and the owner reattaches the injector.
     std::shared_ptr<const SensorOptics> optics_;
@@ -149,11 +142,15 @@ class FlatCamSensor
     mutable Rng rng_;
     const FaultInjector *injector_ = nullptr;
 
-    // Per-frame forward-model scratch, warmed on the first capture
-    // and reused afterwards. mutable for the same reason rng_ is:
-    // capture is logically const, the scratch is not observable
-    // state. A sensor is owned by one pipeline and never shared
-    // across threads (the RNG already forbids that); its optics are.
+    // Per-frame forward-model scratch, sized by the constructor and
+    // reused by every capture. Sized there, it sits in the malloc
+    // arena of the thread that builds the sensor (a session opener),
+    // not of whichever worker captures first; worker arenas keep
+    // freed scratch, so peak RSS would grow with each engine rebuild.
+    // mutable for the same reason rng_ is: capture is logically
+    // const, the scratch is not observable state. A sensor is owned
+    // by one pipeline and never shared across threads (the RNG
+    // already forbids that); its optics are.
     mutable Matrix scene_mat_;  ///< x (scene as doubles).
     mutable Matrix left_prod_;  ///< PhiL * x.
     mutable Matrix measurement_; ///< (PhiL * x) * PhiR^T, then noise.

@@ -10,7 +10,8 @@ namespace flatcam {
 
 FlatCamReconstructor::FlatCamReconstructor(const SeparableMask &mask,
                                            double epsilon)
-    : optics_(std::make_shared<const ReconOptics>(mask, epsilon))
+    : FlatCamReconstructor(
+          std::make_shared<const ReconOptics>(mask, epsilon))
 {
 }
 
@@ -19,6 +20,12 @@ FlatCamReconstructor::FlatCamReconstructor(
     : optics_(std::move(optics))
 {
     eyecod_assert(optics_ != nullptr, "reconstructor without optics");
+    const ReconOptics &op = *optics_;
+    meas_mat_.resetShape(op.ul_t.cols(), op.ur.rows());
+    left_prod_.resetShape(op.ul_t.rows(), op.ur.rows());
+    yhat_.resetShape(op.ul_t.rows(), op.ur.cols());
+    vl_prod_.resetShape(op.vl.rows(), op.ur.cols());
+    scene_mat_.resetShape(op.vl.rows(), op.vr_t.cols());
 }
 
 Image

@@ -97,8 +97,9 @@ class FlatCamReconstructor
   private:
     std::shared_ptr<const ReconOptics> optics_;
 
-    // Per-frame reconstruction scratch, warmed on the first frame and
-    // reused afterwards; not observable state, hence mutable. A
+    // Per-frame reconstruction scratch, sized by the constructor (in
+    // the building thread's malloc arena, as the sensor's is) and
+    // reused by every frame; not observable state, hence mutable. A
     // reconstructor is owned by one pipeline and never shared across
     // threads (its optics are).
     mutable Matrix meas_mat_;  ///< y (measurement as doubles).

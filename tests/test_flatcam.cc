@@ -149,6 +149,18 @@ TEST(Imaging, NoiseChangesMeasurement)
     EXPECT_GT(imageMse(y1, y2), 0.0);
 }
 
+TEST(Imaging, ShotNoiseOnABlackSceneIsFinite)
+{
+    // A black scene measures 0 everywhere, so every shot-noise draw
+    // has mean 0, which the library's Poisson distribution rejects.
+    SensorNoise nz;
+    nz.shot_noise_scale = 1000.0;
+    const FlatCamSensor cam(makeSeparableMask(smallMask()), nz);
+    const Image y = cam.capture(Image(32, 32, 0.0f));
+    for (float v : y.data())
+        ASSERT_TRUE(std::isfinite(v));
+}
+
 TEST(Imaging, MeasurementDoesNotResembleScene)
 {
     // The visual-privacy property: raw FlatCam measurements carry

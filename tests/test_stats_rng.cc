@@ -7,13 +7,32 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <ios>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/matrix.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
 namespace eyecod {
 namespace {
+
+/** The standard engine, the reference Mt19937_64 must reproduce. */
+using StdMt = std::mt19937_64; // detlint:allow(R1) reference engine
+
+/** Advance @p eng by @p count outputs. */
+template <class Engine>
+void
+advance(Engine &eng, size_t count)
+{
+    for (size_t i = 0; i < count; ++i)
+        eng();
+}
 
 TEST(RunningStat, MeanAndVariance)
 {
@@ -159,6 +178,208 @@ TEST(Rng, PoissonMean)
         s.add(double(rng.poisson(6.0)));
     EXPECT_NEAR(s.mean(), 6.0, 0.15);
 }
+
+TEST(Rng, PoissonOfNonPositiveMeanIsZeroAfterOneDraw)
+{
+    // The library distribution requires a positive mean; its release
+    // build returns 0 for one engine output, which this keeps.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double mean : {0.0, -1.0, nan}) {
+        Rng rng(5), twin(5);
+        EXPECT_EQ(rng.poisson(mean), 0) << mean;
+        twin.engine()();
+        EXPECT_EQ(rng.uniform(), twin.uniform()) << mean;
+    }
+}
+
+TEST(RngEngine, MatchesStandardEngineOutputs)
+{
+    for (uint64_t seed : {uint64_t(0), uint64_t(1), uint64_t(0x5eed),
+                          uint64_t(0xcafe), ~uint64_t(0)}) {
+        StdMt ref(seed);
+        Mt19937_64 eng(seed);
+        for (int i = 0; i < 100000; ++i) {
+            const uint64_t want = ref();
+            const uint64_t got = eng();
+            if (got != want) {
+                ADD_FAILURE() << "seed " << seed << " output " << i
+                              << ": " << got << " != " << want;
+                break;
+            }
+        }
+    }
+}
+
+TEST(RngEngine, TenThousandthOutputOfDefaultSeed)
+{
+    // [rand.predef]: the 10000th consecutive invocation of a
+    // default-constructed mt19937_64 produces 9981545732273789042.
+    Mt19937_64 eng;
+    advance(eng, 9999);
+    EXPECT_EQ(eng(), 9981545732273789042u);
+}
+
+TEST(RngEngine, FillMatchesRepeatedCalls)
+{
+    const size_t starts[] = {0, 1, 311, 312};
+    const size_t lengths[] = {0, 1, 311, 312, 313, 1000};
+    for (size_t start : starts) {
+        for (size_t len : lengths) {
+            Mt19937_64 bulk(0xcafe), single(0xcafe);
+            advance(bulk, start);
+            advance(single, start);
+            std::vector<uint64_t> got(len + 1, 0);
+            bulk.fill(got.data(), len);
+            for (size_t i = 0; i < len; ++i)
+                ASSERT_EQ(got[i], single())
+                    << "start " << start << " len " << len << " i " << i;
+            EXPECT_EQ(got[len], 0u) << "fill wrote past its length";
+            EXPECT_TRUE(bulk == single)
+                << "start " << start << " len " << len;
+        }
+    }
+}
+
+TEST(RngEngine, TextMatchesStandardStreamAndParsesBack)
+{
+    const size_t positions[] = {0, 1, 311, 312, 313};
+    for (size_t pos : positions) {
+        StdMt ref(0xcafe);
+        Mt19937_64 eng(0xcafe);
+        advance(ref, pos);
+        advance(eng, pos);
+        std::ostringstream os;
+        os << ref;
+        const std::string text = eng.text();
+        EXPECT_EQ(text, os.str()) << "position " << pos;
+
+        Mt19937_64 back(1);
+        ASSERT_TRUE(back.parseText(text)) << "position " << pos;
+        EXPECT_TRUE(back == eng) << "position " << pos;
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(back(), ref()) << "position " << pos << " i " << i;
+    }
+}
+
+TEST(RngEngine, MalformedTextIsRejectedAndLeavesEngineUnchanged)
+{
+    Mt19937_64 eng(7);
+    advance(eng, 100);
+    const std::string good = eng.text();
+    const size_t last = good.rfind(' ');
+    const std::string words = good.substr(0, last + 1); // index gone
+    const size_t first = good.find(' ');
+    const std::string rest = good.substr(first);
+    const std::string bad[] = {
+        "",
+        words,
+        words + "abc",
+        words + "313",
+        words + "18446744073709551615",
+        words + "99999999999999999999", // past 64 bits
+        words + "-1",
+        "x" + rest,
+        "12x" + rest,
+        good + " 5", // one number too many
+    };
+    for (const std::string &text : bad) {
+        Mt19937_64 probe = eng;
+        EXPECT_FALSE(probe.parseText(text))
+            << "accepted: ..." << text.substr(text.size() > 40
+                                                  ? text.size() - 40
+                                                  : 0);
+        EXPECT_TRUE(probe == eng) << "a rejected parse changed the engine";
+    }
+    // Every index the engine itself can hold parses.
+    for (const char *index : {"0", "1", "312"}) {
+        Mt19937_64 probe(1);
+        EXPECT_TRUE(probe.parseText(words + index)) << index;
+    }
+}
+
+/**
+ * @p fill (a bulk Gaussian path) against gaussian() called n times:
+ * the same bits and the same engine position afterwards, and nothing
+ * written past n.
+ */
+template <class Fill>
+void
+expectBulkMatchesScalar(Fill fill)
+{
+    const uint64_t seeds[] = {1, 0xcafe, 7, (uint64_t(1) << 40) + 3};
+    const size_t counts[] = {0, 1, 2, 3, 255, 256, 257, 4095, 25600};
+    const double params[][2] = {{0.0, 1.0}, {0.0, 0.002}, {0.82, 0.045}};
+    for (uint64_t seed : seeds) {
+        for (size_t n : counts) {
+            for (const auto &ms : params) {
+                Rng bulk(seed), scalar(seed);
+                std::vector<double> got(n + 1, 0.0), want(n + 1, 0.0);
+                fill(bulk, got.data(), n, ms[0], ms[1]);
+                for (size_t i = 0; i < n; ++i)
+                    want[i] = scalar.gaussian(ms[0], ms[1]);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      (n + 1) * sizeof(double)),
+                          0)
+                    << "seed " << seed << " n " << n << " mean " << ms[0];
+                EXPECT_EQ(bulk.uniform(), scalar.uniform())
+                    << "seed " << seed << " n " << n << " mean " << ms[0];
+            }
+        }
+    }
+}
+
+TEST(Rng, FillGaussianMatchesScalarDraws)
+{
+    expectBulkMatchesScalar([](Rng &rng, double *out, size_t n,
+                               double mean, double sd) {
+        rng.fillGaussian(out, n, mean, sd);
+    });
+}
+
+TEST(RngKernel, PortableMatchesScalarDraws)
+{
+    expectBulkMatchesScalar([](Rng &rng, double *out, size_t n,
+                               double mean, double sd) {
+        detail::fillGaussianPortable(rng.engine(), out, n, mean, sd);
+    });
+}
+
+TEST(RngKernel, Avx2MatchesScalarDraws)
+{
+    if (!detail::cpuHasAvx2())
+        GTEST_SKIP() << "this CPU has no AVX2";
+    expectBulkMatchesScalar([](Rng &rng, double *out, size_t n,
+                               double mean, double sd) {
+        detail::fillGaussianAvx2(rng.engine(), out, n, mean, sd);
+    });
+}
+
+#ifdef __GLIBCXX__
+TEST(Rng, DrawsMatchLibstdcxxDistributions)
+{
+    // The pinned literals above were recorded from libstdc++'s
+    // distributions, built fresh per call over the standard engine.
+    StdMt ref_g(0xcafe), ref_u(0xcafe);
+    Rng g(0xcafe), u(0xcafe);
+    for (int i = 0; i < 1000000; ++i) {
+        const double mean = (i % 3) * 0.41;
+        const double sd = 0.002 + (i % 7) * 0.5;
+        const double want_g =
+            std::normal_distribution<double>(mean, sd)(ref_g);
+        const double got_g = g.gaussian(mean, sd);
+        const double want_u =
+            std::uniform_real_distribution<double>(-mean, sd)(ref_u);
+        const double got_u = u.uniform(-mean, sd);
+        if (std::memcmp(&got_g, &want_g, sizeof(double)) != 0 ||
+            std::memcmp(&got_u, &want_u, sizeof(double)) != 0) {
+            ADD_FAILURE() << "draw " << i << std::hexfloat << ": gaussian "
+                          << got_g << " vs " << want_g << ", uniform "
+                          << got_u << " vs " << want_u;
+            break;
+        }
+    }
+}
+#endif
 
 TEST(Percentile, LinearInterpolationConvention)
 {
