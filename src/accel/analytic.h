@@ -1,11 +1,9 @@
 /**
  * @file
  * Shared closed-form accelerator formulas. The dataflow cost model,
- * the roofline analysis, the serving timing model, and the
- * design-space estimators (src/dse) all derive their numbers from
- * these helpers, so "peak MACs/cycle" or "cycles at the configured
- * clock" can never drift apart between the cycle-level simulator and
- * the analytical estimators that must validate against it.
+ * the roofline analysis and the serving timing model all derive
+ * their numbers from these helpers, so "peak MACs/cycle" or "cycles
+ * at the configured clock" mean the same thing everywhere.
  */
 
 #ifndef EYECOD_ACCEL_ANALYTIC_H
@@ -56,14 +54,6 @@ inline double
 cyclesToUs(long long cycles, const HwConfig &hw)
 {
     return double(cycles) / hw.clock_hz * 1e6;
-}
-
-/** Frames per second of a per-frame cycle count (floor of 1 cycle). */
-inline double
-cyclesToFps(long long frame_cycles, const HwConfig &hw)
-{
-    return hw.clock_hz /
-           double(frame_cycles < 1 ? 1LL : frame_cycles);
 }
 
 } // namespace accel

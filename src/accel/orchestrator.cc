@@ -262,28 +262,41 @@ scheduleFrame(const std::vector<ModelWorkload> &workloads,
     panic("unknown orchestration mode");
 }
 
-Result<FrameSchedule>
-scheduleFrameChecked(const std::vector<ModelWorkload> &workloads,
-                     const HwConfig &hw)
+Status
+validateWorkloads(const std::vector<ModelWorkload> &workloads)
 {
-    const Status valid = validateHwConfig(hw);
-    if (!valid.isOk())
-        return valid;
     if (workloads.empty())
         return Status::error(ErrorCode::InvalidArgument,
-                             "scheduleFrame with no workloads");
+                             "no workloads to schedule");
     bool any_per_frame = false;
     for (const ModelWorkload &m : workloads) {
         if (m.period < 1)
             return Status::error(ErrorCode::InvalidArgument,
                                  "workload %s has period %d (< 1)",
                                  m.name.c_str(), m.period);
+        if (m.layers.empty())
+            return Status::error(ErrorCode::InvalidArgument,
+                                 "workload %s has no layers",
+                                 m.name.c_str());
         any_per_frame = any_per_frame || m.period == 1;
     }
     if (!any_per_frame)
         return Status::error(ErrorCode::InvalidArgument,
                              "pipeline needs at least one per-frame "
                              "workload");
+    return Status::ok();
+}
+
+Result<FrameSchedule>
+scheduleFrameChecked(const std::vector<ModelWorkload> &workloads,
+                     const HwConfig &hw)
+{
+    Status valid = validateHwConfig(hw);
+    if (!valid.isOk())
+        return valid;
+    valid = validateWorkloads(workloads);
+    if (!valid.isOk())
+        return valid;
 
     FrameSchedule fs = scheduleFrame(workloads, hw);
     if (hw.watchdog_cycle_budget > 0 &&

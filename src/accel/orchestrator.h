@@ -54,9 +54,18 @@ FrameSchedule scheduleFrame(const std::vector<ModelWorkload> &workloads,
                             const HwConfig &hw);
 
 /**
+ * Typed validation of a workload set, shared by every checked entry
+ * (scheduleFrameChecked, simulateChecked, simulateFaulted): the set
+ * is non-empty, every workload has a period >= 1 and at least one
+ * layer, and at least one workload runs every frame.
+ */
+[[nodiscard]] Status validateWorkloads(
+    const std::vector<ModelWorkload> &workloads);
+
+/**
  * Checked scheduling entry: returns typed Status errors instead of
- * panicking on malformed inputs (invalid HwConfig, empty workload
- * set, no per-frame workload), and ScheduleTimeout when the frame
+ * panicking on malformed inputs (invalid HwConfig, a workload set
+ * validateWorkloads rejects), and ScheduleTimeout when the frame
  * exceeds hw.watchdog_cycle_budget.
  */
 [[nodiscard]] Result<FrameSchedule> scheduleFrameChecked(

@@ -10,32 +10,6 @@ namespace accel {
 
 namespace {
 
-/** Typed validation of a workload set. */
-Status
-validateWorkloads(const std::vector<ModelWorkload> &workloads)
-{
-    if (workloads.empty())
-        return Status::error(ErrorCode::InvalidArgument,
-                             "simulate with no workloads");
-    bool any_per_frame = false;
-    for (const ModelWorkload &m : workloads) {
-        if (m.period < 1)
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "workload %s has period %d (< 1)",
-                                 m.name.c_str(), m.period);
-        if (m.layers.empty())
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "workload %s has no layers",
-                                 m.name.c_str());
-        any_per_frame = any_per_frame || m.period == 1;
-    }
-    if (!any_per_frame)
-        return Status::error(ErrorCode::InvalidArgument,
-                             "pipeline needs at least one per-frame "
-                             "workload");
-    return Status::ok();
-}
-
 /** The core analytic model; callers have validated the inputs. */
 PerfReport
 simulateCore(const std::vector<ModelWorkload> &workloads,

@@ -1,9 +1,10 @@
 /**
  * @file
  * Design-space search: enumerate a bounded lattice of HwConfig
- * candidates for the EyeCoD pipeline, estimate each with the
- * analytical model (never the cycle-level simulator), and emit the
- * FPS / energy-per-frame / SRAM-capacity Pareto front.
+ * candidates for the EyeCoD pipeline, evaluate each with the
+ * simulator's closed forms (accel::simulateChecked) under a
+ * candidate-scaled energy model, and emit the FPS /
+ * energy-per-frame / SRAM-capacity Pareto front.
  *
  * Pruning keeps the sweep honest and cheap:
  *  - validateHwConfig + activation-fit feasibility rejects candidates
@@ -26,10 +27,20 @@
 #include <string>
 #include <vector>
 
-#include "dse/estimate.h"
+#include "accel/simulator.h"
 
 namespace eyecod {
 namespace dse {
+
+/**
+ * Candidate-scaled energy model: leakage and clock-tree power grow
+ * with the provisioned lane and MAC counts, SRAM capacity, and
+ * Act-GB banking of the candidate instead of staying pinned at the
+ * paper chip's constants, so the sweep charts genuine provisioning
+ * tradeoffs. Anchored so the paper's Tab. 1 configuration
+ * reproduces accel::EnergyModel{} exactly (bitwise).
+ */
+accel::EnergyModel energyModelFor(const accel::HwConfig &hw);
 
 /** The candidate lattice; every axis is swept independently. */
 struct SearchSpace
@@ -54,7 +65,7 @@ struct SearchSpace
 struct DesignPoint
 {
     accel::HwConfig hw;
-    Estimate est;
+    accel::PerfReport perf; ///< Under energyModelFor(hw).
     bool on_front = false;
     bool is_paper = false; ///< Matches the default HwConfig.
 };
@@ -74,8 +85,8 @@ struct SearchResult
 
 /**
  * True when @p a is at least as good as @p b on every objective
- * (FPS up, energy/frame down, total SRAM down) and strictly better
- * on at least one.
+ * (FPS up, energy/frame down, hw.totalSramBytes() down) and
+ * strictly better on at least one.
  */
 bool dominates(const DesignPoint &a, const DesignPoint &b);
 

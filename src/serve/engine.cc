@@ -14,10 +14,7 @@ ServiceModel
 deriveModelOrDie(const ServingConfig &cfg)
 {
     Result<ServiceModel> model =
-        cfg.cost_model == CostModelKind::DseEstimator
-            ? estimatorServiceModel(cfg.system.workload,
-                                    cfg.system.hw)
-            : deriveServiceModel(cfg.system.workload, cfg.system.hw);
+        deriveServiceModel(cfg.system.workload, cfg.system.hw);
     if (!model.ok())
         panic("serving engine: %s",
               model.status().toString().c_str());
@@ -54,16 +51,6 @@ ServingEngine::ServingEngine(
                   "backoff cap below backoff base");
     eyecod_assert(cfg_.rate_downgrade_stride >= 2,
                   "rate_downgrade_stride must be >= 2");
-    if (cfg_.cost_model == CostModelKind::DseEstimator) {
-        // Replace the hardcoded tier-2 billing assumption with the
-        // estimator's prediction for this pipeline and hardware.
-        Result<double> factor = estimatorResolutionCostFactor(
-            cfg_.system.workload, cfg_.system.hw);
-        if (!factor.ok())
-            panic("serving engine: %s",
-                  factor.status().toString().c_str());
-        cfg_.resolution_cost_factor = factor.value();
-    }
     eyecod_assert(cfg_.resolution_cost_factor > 0.0 &&
                       cfg_.resolution_cost_factor <= 1.0,
                   "resolution_cost_factor outside (0, 1]");

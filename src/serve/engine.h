@@ -48,7 +48,6 @@
 
 #include "common/perf_json.h"
 #include "common/thread_pool.h"
-#include "serve/cost_model.h"
 #include "serve/health.h"
 #include "serve/session.h"
 #include "serve/traffic.h"
@@ -113,20 +112,11 @@ struct ServingConfig
     /**
      * Service-cost multiplier for tier-2 reduced-resolution frames
      * (half linear resolution quarters the pixels, but the gaze
-     * stage's cost share is resolution-independent). Under
-     * CostModelKind::DseEstimator this hardcoded assumption is
-     * replaced at construction by the estimator's predicted
-     * half-res / full-res amortized cost ratio.
+     * stage's cost share is resolution-independent).
+     * resolutionCostFactor() predicts it for a given pipeline and
+     * hardware; assign that here to bill by the prediction.
      */
     double resolution_cost_factor = 0.6;
-    /**
-     * Source of per-frame service costs: the legacy orchestrator
-     * schedule, or the dse/ analytical estimator (which also
-     * predicts resolution_cost_factor). The two produce bitwise
-     * identical ServiceModels for the default orchestration, so
-     * flipping this leaves serving benches unchanged.
-     */
-    CostModelKind cost_model = CostModelKind::Schedule;
     /** Tier-3 stride: every stride-th submitted frame is shed. */
     int rate_downgrade_stride = 3;
     /** Bound on each session's drop log (overflow counted). */

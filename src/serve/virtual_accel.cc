@@ -78,6 +78,36 @@ deriveServiceModel(const accel::PipelineWorkloadConfig &workload,
     return model;
 }
 
+Result<double>
+resolutionCostFactor(const accel::PipelineWorkloadConfig &workload,
+                     const accel::HwConfig &hw)
+{
+    Result<ServiceModel> at_full = deriveServiceModel(workload, hw);
+    if (!at_full.ok())
+        return at_full.status();
+
+    // The tier-2 downgrade halves the linear resolution of the
+    // camera-facing stages; the gaze ROI crop stays fixed (the ROI
+    // is produced by the predictor at its own extent).
+    accel::PipelineWorkloadConfig half = workload;
+    half.scene = std::max(1, workload.scene / 2);
+    half.sensor = std::max(1, workload.sensor / 2);
+    half.seg_input = std::max(1, workload.seg_input / 2);
+    Result<ServiceModel> at_half = deriveServiceModel(half, hw);
+    if (!at_half.ok())
+        return at_half.status();
+
+    if (at_full.value().amortized_frame_us <= 0.0)
+        return Status::error(ErrorCode::InvalidArgument,
+                             "full-resolution frame cost is zero");
+    const double ratio = at_half.value().amortized_frame_us /
+                         at_full.value().amortized_frame_us;
+    // The billing contract requires a factor in (0, 1]; a half-res
+    // pipeline can never cost more than the full one under this
+    // dataflow, but clamp defensively.
+    return std::clamp(ratio, 1e-6, 1.0);
+}
+
 std::vector<ChipFaultEvent>
 makeChipFaultSchedule(const ChaosScheduleConfig &cfg,
                       const accel::HwConfig &hw, int chips)

@@ -91,6 +91,19 @@ Result<ServiceModel> deriveServiceModel(
     const accel::PipelineWorkloadConfig &workload,
     const accel::HwConfig &hw);
 
+/**
+ * Predicted tier-2 billing factor: the amortized frame cost of the
+ * half-resolution pipeline (scene, sensor and segmentation extents
+ * halved; the gaze ROI is resolution-independent by construction)
+ * over that of the full-resolution pipeline, both from
+ * deriveServiceModel(), clamped to (0, 1]. A caller that wants the
+ * prediction instead of the default assigns it to
+ * ServingConfig::resolution_cost_factor.
+ */
+[[nodiscard]] Result<double> resolutionCostFactor(
+    const accel::PipelineWorkloadConfig &workload,
+    const accel::HwConfig &hw);
+
 /** What happens to a chip at a scheduled fault event. */
 enum class ChipEventKind : int {
     Fail = 0,    ///< Whole-chip outage: leaves the pool.

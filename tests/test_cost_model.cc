@@ -1,65 +1,33 @@
 /**
  * @file
- * Tests of the estimator-backed serving cost model (DESIGN.md
- * section 14.4): estimatorServiceModel is bitwise equal to the
- * orchestrator-derived deriveServiceModel, the predicted tier-2
- * resolution billing factor is a sane ratio, and a ServingEngine
- * constructed with CostModelKind::DseEstimator serves a trace with
- * identical outcomes to the legacy schedule-backed engine.
+ * Tests of the serving cost model's billing factor (DESIGN.md
+ * section 14.3): resolutionCostFactor propagates the typed errors of
+ * deriveServiceModel, and the predicted tier-2 resolution billing
+ * factor is a sane ratio.
  */
 
 #include <gtest/gtest.h>
 
-#include "serving_test_util.h"
+#include "serve/virtual_accel.h"
 
 namespace eyecod {
 namespace serve {
 namespace {
 
-TEST(EstimatorCostModel, ServiceModelIsBitwiseEqualToSchedule)
-{
-    const accel::PipelineWorkloadConfig workload;
-    const accel::HwConfig hw;
-    const auto sched = deriveServiceModel(workload, hw);
-    const auto est = estimatorServiceModel(workload, hw);
-    ASSERT_TRUE(sched.ok());
-    ASSERT_TRUE(est.ok());
-    EXPECT_EQ(est.value().gaze_frame_us, sched.value().gaze_frame_us);
-    EXPECT_EQ(est.value().seg_frame_us, sched.value().seg_frame_us);
-    EXPECT_EQ(est.value().amortized_frame_us,
-              sched.value().amortized_frame_us);
-    EXPECT_EQ(est.value().chip_fps, sched.value().chip_fps);
-}
-
-TEST(EstimatorCostModel, ServiceModelMatchesUnderTimeMultiplex)
-{
-    const accel::PipelineWorkloadConfig workload;
-    accel::HwConfig hw;
-    hw.orchestration = accel::OrchestrationMode::TimeMultiplex;
-    const auto sched = deriveServiceModel(workload, hw);
-    const auto est = estimatorServiceModel(workload, hw);
-    ASSERT_TRUE(sched.ok());
-    ASSERT_TRUE(est.ok());
-    EXPECT_EQ(est.value().amortized_frame_us,
-              sched.value().amortized_frame_us);
-    EXPECT_EQ(est.value().chip_fps, sched.value().chip_fps);
-}
-
 TEST(EstimatorCostModel, PropagatesTypedErrors)
 {
     accel::HwConfig broken;
     broken.mac_lanes = -1;
-    EXPECT_EQ(estimatorServiceModel({}, broken).status().code(),
+    EXPECT_EQ(deriveServiceModel({}, broken).status().code(),
               ErrorCode::InvalidArgument);
-    EXPECT_EQ(
-        estimatorResolutionCostFactor({}, broken).status().code(),
-        ErrorCode::InvalidArgument);
+    EXPECT_EQ(resolutionCostFactor({}, broken).status().code(),
+              ErrorCode::InvalidArgument);
 }
 
 TEST(EstimatorCostModel, ResolutionFactorIsAProperDiscount)
 {
     const auto factor =
-        estimatorResolutionCostFactor({}, accel::HwConfig{});
+        resolutionCostFactor({}, accel::HwConfig{});
     ASSERT_TRUE(factor.ok());
     // Halving the scene/sensor/segmentation extents must cost less
     // than full resolution, but the gaze stage's share is
@@ -67,54 +35,6 @@ TEST(EstimatorCostModel, ResolutionFactorIsAProperDiscount)
     // the pixel-count ratio (0.25).
     EXPECT_GT(factor.value(), 0.25);
     EXPECT_LT(factor.value(), 1.0);
-}
-
-TEST(EstimatorCostModel, EngineSwapsTheFactorInAtConstruction)
-{
-    ServingConfig cfg = quickServingConfig(1);
-    cfg.cost_model = CostModelKind::DseEstimator;
-    ServingEngine eng(cfg, servingTestEstimator(),
-                      servingTestRenderer());
-    const auto predicted = estimatorResolutionCostFactor(
-        cfg.system.workload, cfg.system.hw);
-    ASSERT_TRUE(predicted.ok());
-    EXPECT_EQ(eng.config().resolution_cost_factor,
-              predicted.value());
-    EXPECT_NE(eng.config().resolution_cost_factor, 0.6);
-}
-
-TEST(EstimatorCostModel, ServingRunIsBitwiseIdenticalBelowSaturation)
-{
-    // Below saturation the tier-2 factor is never exercised, so the
-    // estimator-backed engine must reproduce the schedule-backed
-    // run's outcomes exactly (the ServiceModels are bitwise equal).
-    TrafficConfig tc;
-    tc.sessions = 3;
-    tc.frames_per_session = 20;
-    const auto traffic =
-        makeTraffic(servingTestRenderer(), tc);
-
-    ServingConfig base = quickServingConfig(2);
-    ServingEngine a(base, servingTestEstimator(),
-                    servingTestRenderer());
-    const FleetMetrics ma = a.runTrace(traffic);
-
-    ServingConfig swapped = base;
-    swapped.cost_model = CostModelKind::DseEstimator;
-    ServingEngine b(swapped, servingTestEstimator(),
-                    servingTestRenderer());
-    const FleetMetrics mb = b.runTrace(traffic);
-
-    EXPECT_EQ(mb.submitted, ma.submitted);
-    EXPECT_EQ(mb.completed, ma.completed);
-    EXPECT_EQ(mb.queue_drops, ma.queue_drops);
-    EXPECT_EQ(mb.deadline_misses, ma.deadline_misses);
-    EXPECT_EQ(mb.degraded_res_frames, ma.degraded_res_frames);
-    EXPECT_EQ(mb.makespan_us, ma.makespan_us);
-    EXPECT_EQ(mb.aggregate_fps, ma.aggregate_fps);
-    EXPECT_EQ(mb.backend_utilization, ma.backend_utilization);
-    EXPECT_EQ(mb.mean_latency_us, ma.mean_latency_us);
-    EXPECT_EQ(mb.p99_latency_us, ma.p99_latency_us);
 }
 
 } // namespace

@@ -134,10 +134,25 @@ TEST(HwConfigValidation, SimulateCheckedSurfacesErrors)
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument);
 
+    HwConfig no_lanes;
+    no_lanes.mac_lanes = 0;
+    EXPECT_EQ(simulateChecked(pipeline(), no_lanes, EnergyModel{})
+                  .status()
+                  .code(),
+              ErrorCode::InvalidArgument);
+
     const auto empty =
         simulateChecked({}, HwConfig{}, EnergyModel{});
     ASSERT_FALSE(empty.ok());
     EXPECT_EQ(empty.status().code(), ErrorCode::InvalidArgument);
+
+    // A cycle budget no frame can fit is a typed watchdog timeout.
+    HwConfig strangled;
+    strangled.watchdog_cycle_budget = 1;
+    EXPECT_EQ(simulateChecked(pipeline(), strangled, EnergyModel{})
+                  .status()
+                  .code(),
+              ErrorCode::ScheduleTimeout);
 }
 
 TEST(LaneRetirement, ReducesLanes)

@@ -139,6 +139,18 @@ TEST(ScheduleChecked, RejectsMalformedInputs)
         m.period = 5;
     EXPECT_EQ(scheduleFrameChecked(w, HwConfig{}).status().code(),
               ErrorCode::InvalidArgument);
+
+    // A per-frame workload with no layers: alone it would schedule a
+    // 0-cycle frame, beside the pipeline it would pass unnoticed.
+    ModelWorkload empty;
+    empty.name = "empty";
+    empty.period = 1;
+    w = pipeline();
+    w.push_back(empty);
+    EXPECT_EQ(scheduleFrameChecked(w, HwConfig{}).status().code(),
+              ErrorCode::InvalidArgument);
+    EXPECT_EQ(scheduleFrameChecked({empty}, HwConfig{}).status().code(),
+              ErrorCode::InvalidArgument);
 }
 
 TEST(ScheduleChecked, WatchdogTripsOnTinyBudget)

@@ -1,12 +1,10 @@
 /**
  * @file
- * Design-space explorer CLI (DESIGN.md section 14.5):
+ * Design-space explorer CLI (DESIGN.md section 14.4):
  *
  *   dse estimate [--lanes N] [--macs N] [--act-kib N] [--banks N]
  *                [--mode partial|timemux|concurrent]
- *       estimate the pipeline on one candidate configuration;
- *   dse validate
- *       run the estimator-vs-simulator validation sweep;
+ *       model the pipeline on one candidate configuration;
  *   dse search [--json]
  *       sweep the default lattice and print the Pareto front
  *       (--json emits the full machine-readable result).
@@ -19,7 +17,6 @@
 
 #include "common/stats.h"
 #include "dse/search.h"
-#include "dse/validate.h"
 
 using namespace eyecod;
 
@@ -30,11 +27,10 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: dse <estimate|validate|search> [options]\n"
+        "usage: dse <estimate|search> [options]\n"
         "  estimate [--lanes N] [--macs N] [--act-kib N] "
         "[--banks N]\n"
         "           [--mode partial|timemux|concurrent]\n"
-        "  validate\n"
         "  search [--json]\n");
     return 2;
 }
@@ -93,15 +89,14 @@ runEstimate(int argc, char **argv)
         }
     }
 
-    const accel::EnergyModel energy = dse::energyModelFor(hw);
-    Result<dse::Estimate> est =
-        dse::estimatePipeline({}, hw, energy);
-    if (!est.ok()) {
+    Result<accel::PerfReport> perf = accel::simulateChecked(
+        accel::buildPipelineWorkload({}), hw, dse::energyModelFor(hw));
+    if (!perf.ok()) {
         std::fprintf(stderr, "dse: %s\n",
-                     est.status().toString().c_str());
+                     perf.status().toString().c_str());
         return 1;
     }
-    const dse::Estimate &e = est.value();
+    const accel::PerfReport &e = perf.value();
     std::printf("config: %d lanes x %d MACs, %ld KiB Act GB x %d "
                 "(%d banks)\n",
                 hw.mac_lanes, hw.macs_per_lane,
@@ -109,7 +104,9 @@ runEstimate(int argc, char **argv)
                 hw.act_gb_banks);
     std::printf("frame:  %lld cycles (%lld peak, %lld partition "
                 "overhead), %.3f ms\n",
-                e.frame_cycles, e.peak_frame_cycles,
+                e.frame_cycles,
+                e.schedule.peak_frame_cycles +
+                    e.partition_overhead_cycles,
                 e.partition_overhead_cycles, e.frame_ms);
     std::printf("rate:   %.1f FPS steady, %.1f FPS peak, "
                 "utilization %.3f\n",
@@ -117,38 +114,10 @@ runEstimate(int argc, char **argv)
     std::printf("memory: %lld B resident activations (P=%d, "
                 "fits: %s), %lld B SRAM provisioned\n",
                 e.act_mem_bytes, e.partition_factor,
-                e.act_mem_fits ? "yes" : "no", e.sram_total_bytes);
+                e.act_mem_fits ? "yes" : "no", hw.totalSramBytes());
     std::printf("energy: %.1f uJ/frame, %.3f W average\n",
                 e.energy_per_frame_j * 1e6, e.power_w);
     return 0;
-}
-
-int
-runValidate()
-{
-    Result<dse::ValidationReport> sweep = dse::runValidationSweep();
-    if (!sweep.ok()) {
-        std::fprintf(stderr, "dse: %s\n",
-                     sweep.status().toString().c_str());
-        return 1;
-    }
-    const dse::ValidationReport &rep = sweep.value();
-    TextTable t({"case", "est cycles", "sim cycles", "lat err",
-                 "energy err", "exact"});
-    for (const dse::ValidationCase &c : rep.cases)
-        t.addRow({c.name, std::to_string(c.est_frame_cycles),
-                  std::to_string(c.sim_frame_cycles),
-                  formatDouble(c.latency_rel_err, 4),
-                  formatDouble(c.energy_rel_err, 4),
-                  c.exact ? "yes" : "no"});
-    std::printf("%s\nmax latency err %.4f (gate %.2f), max energy "
-                "err %.4f (gate %.2f), paper exact: %s\n%s\n",
-                t.render().c_str(), rep.max_latency_rel_err,
-                dse::kLatencyErrorGate, rep.max_energy_rel_err,
-                dse::kEnergyErrorGate,
-                rep.paper_exact ? "yes" : "NO",
-                rep.passed() ? "PASSED" : "FAILED");
-    return rep.passed() ? 0 : 1;
 }
 
 int
@@ -174,10 +143,10 @@ runSearch(bool json)
                   std::to_string(p.hw.macs_per_lane),
                   std::to_string(p.hw.act_gb_bytes / 1024),
                   std::to_string(p.hw.act_gb_banks),
-                  formatDouble(p.est.fps, 1),
-                  formatDouble(p.est.energy_per_frame_j * 1e6, 1),
-                  std::to_string(p.est.sram_total_bytes / 1024),
-                  std::to_string(p.est.partition_factor),
+                  formatDouble(p.perf.fps, 1),
+                  formatDouble(p.perf.energy_per_frame_j * 1e6, 1),
+                  std::to_string(p.hw.totalSramBytes() / 1024),
+                  std::to_string(p.perf.partition_factor),
                   p.is_paper ? "<<<" : ""});
     }
     std::printf("%s\nlattice %lld: evaluated %lld, pruned %lld "
@@ -199,8 +168,6 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
     if (cmd == "estimate")
         return runEstimate(argc - 2, argv + 2);
-    if (cmd == "validate")
-        return runValidate();
     if (cmd == "search")
         return runSearch(argc > 2 &&
                          std::string(argv[2]) == "--json");
