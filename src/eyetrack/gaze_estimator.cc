@@ -16,6 +16,8 @@ RidgeGazeEstimator::RidgeGazeEstimator(GazeEstimatorConfig cfg)
 {
     eyecod_assert(cfg.feat_height > 0 && cfg.feat_width > 0,
                   "estimator feature extent must be positive");
+    feat_img_.resetShape(cfg.feat_height, cfg.feat_width);
+    feat_scratch_.resize(size_t(dim_));
 }
 
 std::vector<double>

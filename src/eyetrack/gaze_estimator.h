@@ -88,9 +88,10 @@ class RidgeGazeEstimator
     int dim_; ///< Feature dimension including bias.
     std::vector<double> weights_; ///< dim_ x 3, row-major.
 
-    // Per-call scratch, warmed on the first predict and reused
-    // afterwards; not observable state, hence mutable (predict stays
-    // const for existing callers).
+    // Per-call scratch, sized by the constructor (in the building
+    // thread's malloc arena) and reused by every predict; not
+    // observable state, hence mutable (predict stays const for
+    // existing callers).
     mutable Image feat_img_;              ///< Downsampled ROI.
     mutable std::vector<double> feat_scratch_; ///< Feature vector.
 };

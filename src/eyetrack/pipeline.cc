@@ -80,7 +80,10 @@ PredictThenFocusPipeline::PredictThenFocusPipeline(PipelineConfig cfg)
             std::shared_ptr<const flatcam::ReconOptics>(
                 optics, &optics->recon));
         sensor_->setFaultInjector(injector_.get());
+        meas_.resetShape(sensor_->sensorRows(), sensor_->sensorCols());
     }
+    view_.resetShape(cfg_.scene_size, cfg_.scene_size);
+    result_.view.resetShape(cfg_.scene_size, cfg_.scene_size);
     // Pre-warm the frame arena: its only serving-path consumer is the
     // border-clamped ROI materialization (fixed ROI extent), and an
     // out-of-bounds ROI can first occur on a steady frame — fetching

@@ -358,10 +358,12 @@ class PredictThenFocusPipeline
     HealthStats health_stats_;
 
     // Frame spine: pooled per-frame scratch. The arena is epoch-reset
-    // at the top of every frame; the member images reuse capacity, so
-    // steady-state frames never touch the heap. None of it is
-    // snapshotted: each buffer is repainted before its first use in a
-    // frame, and the result slot is overwritten by the next frame.
+    // at the top of every frame; the member images are sized by the
+    // constructor (in the building thread's malloc arena, as the
+    // FlatCam scratch is) and reuse capacity, so steady-state frames
+    // never touch the heap. None of it is snapshotted: each buffer is
+    // repainted before its first use in a frame, and the result slot
+    // is overwritten by the next frame.
     BufferArena arena_;
     Image view_;       ///< Acquired (reconstructed) frame scratch.
     Image meas_;       ///< FlatCam measurement scratch.

@@ -44,8 +44,22 @@ accScratch(size_t count)
 
 } // namespace
 
+void
+LazyWeights::draw() const
+{
+    std::call_once(drawn_, [this] {
+        values_.resize(count_);
+        initWeights(values_, fan_in_, seed_, quant_bits_);
+    });
+}
+
 Conv2d::Conv2d(std::string name, const ConvSpec &spec)
-    : Layer(std::move(name)), spec_(spec)
+    : Layer(std::move(name)), spec_(spec),
+      group_channels_(spec_.depthwise ? 1 : spec_.in.c),
+      weights_(size_t(spec_.out_channels) * size_t(group_channels_) *
+                   size_t(spec_.kernel) * size_t(spec_.kernel),
+               double(group_channels_) * spec_.kernel * spec_.kernel,
+               spec_.seed, spec_.quant_bits)
 {
     eyecod_assert(spec_.in.c > 0 && spec_.out_channels > 0 &&
                   spec_.kernel > 0 && spec_.stride > 0,
@@ -55,16 +69,8 @@ Conv2d::Conv2d(std::string name, const ConvSpec &spec)
                       "depthwise conv %s must keep channel count "
                       "(%d != %d)", this->name().c_str(),
                       spec_.out_channels, spec_.in.c);
-        group_channels_ = 1;
-    } else {
-        group_channels_ = spec_.in.c;
     }
-    weights_.resize(size_t(spec_.out_channels) * group_channels_ *
-                    spec_.kernel * spec_.kernel);
     bias_.resize(size_t(spec_.out_channels), 0.0f);
-    initWeights(weights_,
-                double(group_channels_) * spec_.kernel * spec_.kernel,
-                spec_.seed, spec_.quant_bits);
 }
 
 Shape
@@ -134,6 +140,7 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
     }
     const float *in_data = src->data().data();
     float *out_data = out.data().data();
+    const std::vector<float> &weights = weights_.values();
 
     const int k = spec_.kernel;
     const int s = spec_.stride;
@@ -157,8 +164,7 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
             for (long oc = oc_begin; oc < oc_end; ++oc) {
                 std::fill(acc.data(), acc.data() + out_plane,
                           double(bias_[size_t(oc)]));
-                const float *wrow =
-                    &weights_[size_t(oc) * ic_count];
+                const float *wrow = &weights[size_t(oc) * ic_count];
                 for (int ic = 0; ic < ic_count; ++ic) {
                     const double w = wrow[ic];
                     const float *iplane = in_data + size_t(ic) *
@@ -205,8 +211,7 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
             const int oc = int(r / out_shape.h);
             const int oy = int(r % out_shape.h);
             const int ic_begin = spec_.depthwise ? oc : 0;
-            const float *wbase =
-                &weights_[size_t(oc) * ic_count * kk];
+            const float *wbase = &weights[size_t(oc) * ic_count * kk];
             float *orow = out_data + size_t(oc) * out_plane +
                           size_t(oy) * out_shape.w;
             const int ky_lo = std::max(0, pad - oy * s);
@@ -260,13 +265,13 @@ FullyConnected::FullyConnected(std::string name, Shape in,
                                int quant_bits, uint64_t seed)
     : Layer(std::move(name)), in_(in),
       in_features_(int(in.size())), out_features_(out_features),
-      relu_(relu), quant_bits_(quant_bits)
+      relu_(relu), quant_bits_(quant_bits),
+      weights_(size_t(out_features_) * size_t(in_features_),
+               double(in_features_), seed, quant_bits_)
 {
     eyecod_assert(out_features > 0, "fc %s needs positive width",
                   this->name().c_str());
-    weights_.resize(size_t(out_features_) * in_features_);
     bias_.resize(size_t(out_features_), 0.0f);
-    initWeights(weights_, double(in_features_), seed, quant_bits);
 }
 
 Shape
@@ -320,6 +325,7 @@ FullyConnected::forward(const std::vector<const Tensor *> &in,
         fakeQuantize(quantized, qp);
         input_data = quantized.data();
     }
+    const std::vector<float> &weights = weights_.values();
 
     const long grain =
         std::max(1L, long(out_features_) /
@@ -327,7 +333,7 @@ FullyConnected::forward(const std::vector<const Tensor *> &in,
     ctx.parallelFor(out_features_, grain, [&](long begin, long end) {
         for (long o = begin; o < end; ++o) {
             double acc = bias_[size_t(o)];
-            const float *wrow = &weights_[size_t(o) * in_features_];
+            const float *wrow = &weights[size_t(o) * in_features_];
             for (int i = 0; i < in_features_; ++i)
                 acc += wrow[i] * input_data[size_t(i)];
             if (relu_ && acc < 0.0)
@@ -339,12 +345,11 @@ FullyConnected::forward(const std::vector<const Tensor *> &in,
 
 MatMul::MatMul(std::string name, int rows, int k, int cols,
                uint64_t seed)
-    : Layer(std::move(name)), rows_(rows), k_(k), cols_(cols)
+    : Layer(std::move(name)), rows_(rows), k_(k), cols_(cols),
+      weights_(size_t(k_) * size_t(cols_), double(k_), seed, 0)
 {
     eyecod_assert(rows > 0 && k > 0 && cols > 0,
                   "matmul %s needs positive dims", this->name().c_str());
-    weights_.resize(size_t(k_) * cols_);
-    initWeights(weights_, double(k_), seed, 0);
 }
 
 Shape
@@ -389,6 +394,7 @@ MatMul::forward(const std::vector<const Tensor *> &in, Tensor &out,
     eyecod_assert(out.shape() == outputShape(),
                   "matmul %s output shape mismatch", name().c_str());
 
+    const std::vector<float> &weights = weights_.values();
     // Row blocks: each output row is one independent dot-product fan.
     const long grain =
         std::max(1L, long(rows_) / (long(ctx.concurrency()) * 4));
@@ -398,7 +404,7 @@ MatMul::forward(const std::vector<const Tensor *> &in, Tensor &out,
                 double acc = 0.0;
                 for (int i = 0; i < k_; ++i)
                     acc += x.at(int(r), 0, i) *
-                           weights_[size_t(i) * cols_ + c];
+                           weights[size_t(i) * cols_ + c];
                 out.at(int(r), 0, c) = float(acc);
             }
         }

@@ -19,6 +19,13 @@ Session::Session(int id, const core::SystemConfig &cfg,
     // Sessions share the fleet-trained estimator instead of
     // retraining per user (per-user calibration would refit here).
     system_.pipeline().gazeEstimator() = trained;
+    // Size the render target on the opening thread, as the pipeline
+    // sizes its frame scratch: sized by the first served frame, it
+    // would sit in a scheduler thread's malloc arena, and worker
+    // arenas keep freed blocks across engine rebuilds.
+    const int n = cfg.pipeline.scene_size;
+    sample_.image.resetShape(n, n);
+    sample_.mask.labels.reserve(size_t(n) * size_t(n));
 }
 
 Result<core::GazeSample>

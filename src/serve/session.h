@@ -221,9 +221,10 @@ class Session
     SessionMetrics metrics_;
     dataset::GazeVec last_gaze_{0, 0, 1};
     std::vector<dataset::GazeVec> gaze_log_;
-    /** Persistent render target: renderInto() reuses its storage, so
-     *  steady-state serving allocates nothing for the scene. Not
-     *  snapshotted: repainted every frame. */
+    /** Persistent render target, sized by the constructor:
+     *  renderInto() reuses its storage, so steady-state serving
+     *  allocates nothing for the scene. Not snapshotted: repainted
+     *  every frame. */
     dataset::EyeSample sample_;
     /** Tier-2 scratch: half-resolution + restored scenes. Both reuse
      *  their storage, so degraded steady frames stay zero-alloc after

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "models/model_zoo.h"
 #include "nn/basic_layers.h"
 #include "nn/conv.h"
@@ -91,6 +95,47 @@ buildSkipDag()
     c2.kernel = 1;
     c2.seed = 13;
     g.emplace<Conv2d>({e}, "f", c2);
+    return g;
+}
+
+/**
+ * A small chain with every weighted layer kind: generic, depth-wise
+ * and 8-bit point-wise convolutions, an 8-bit fully-connected layer
+ * and a MatMul.
+ */
+Graph
+buildWeightedChain()
+{
+    Graph g("weighted-chain");
+    int x = g.addInput(Shape{2, 12, 12});
+
+    ConvSpec generic;
+    generic.in = g.nodeShape(x);
+    generic.out_channels = 4;
+    generic.kernel = 3;
+    generic.seed = 21;
+    x = g.emplace<Conv2d>({x}, "generic", generic);
+
+    ConvSpec depthwise;
+    depthwise.in = g.nodeShape(x);
+    depthwise.out_channels = 4;
+    depthwise.kernel = 3;
+    depthwise.stride = 2;
+    depthwise.depthwise = true;
+    depthwise.seed = 22;
+    x = g.emplace<Conv2d>({x}, "depthwise", depthwise);
+
+    ConvSpec pointwise;
+    pointwise.in = g.nodeShape(x);
+    pointwise.out_channels = 6;
+    pointwise.kernel = 1;
+    pointwise.quant_bits = 8;
+    pointwise.seed = 23;
+    x = g.emplace<Conv2d>({x}, "pointwise", pointwise);
+
+    x = g.emplace<FullyConnected>({x}, "fc", g.nodeShape(x), 8, true, 8,
+                                  uint64_t(24));
+    g.emplace<MatMul>({x}, "matmul", 1, 8, 3, uint64_t(25));
     return g;
 }
 
@@ -230,6 +275,36 @@ TEST(Runtime, MakeBackendSelectsKind)
     EXPECT_EQ(makeBackend(BackendKind::Serial)->name(), "serial");
     const auto threaded = makeBackend(BackendKind::Threaded, 3);
     EXPECT_EQ(threaded->name(), "threaded-3");
+}
+
+TEST(Runtime, ConcurrentFirstForwardDrawsWeightsOnce)
+{
+    // Each layer draws its weights on its first forward(). Threads
+    // that race into the first forward of one graph must all compute
+    // with the fully drawn weights: bitwise what a serial first run
+    // on another fresh graph computes. CI runs Runtime.* under the
+    // thread sanitizer.
+    const Graph reference = buildWeightedChain();
+    const std::vector<Tensor> inputs = makeInputs(reference);
+    const Tensor expected = reference.forward(inputs);
+
+    const Graph shared = buildWeightedChain();
+    constexpr int kThreads = 4;
+    std::vector<Tensor> outs(kThreads);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < kThreads)
+                std::this_thread::yield();
+            outs[size_t(t)] = shared.forward(inputs);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (const Tensor &out : outs)
+        expectTensorsIdentical(out, expected);
 }
 
 TEST(Runtime, GraphForwardUsesPlannedRuntime)
