@@ -15,8 +15,7 @@
  *  - threaded: ExecutionPlan + ThreadedBackend.
  *
  * Results are printed and merged into BENCH_runtime.json (flat
- * {"section": {"metric": number}} schema, shared with
- * bench_micro_stages) for machine consumption.
+ * {"section": {"metric": number}} schema) for machine consumption.
  */
 
 #include <chrono>

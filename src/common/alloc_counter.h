@@ -5,11 +5,11 @@
  * AllocCounter exposes per-thread counts of global operator new
  * calls. The counters are bumped by operator new / delete overrides
  * that live in alloc_hooks.cc, which is linked ONLY into the
- * allocation-audited benchmarks (bench_serving, bench_runtime) — the
- * test binaries keep the stock allocator so sanitizer jobs are
- * undisturbed. In binaries without the hooks, hooksInstalled() is
- * false and every counter reads zero; callers must gate their
- * accounting (and any acceptance gate) on hooksInstalled().
+ * allocation-audited binaries (tests/test_alloc, bench_runtime,
+ * perfbench); every other test binary keeps the stock allocator. In
+ * binaries without the hooks, hooksInstalled() is false and every
+ * counter reads zero; callers must gate their accounting (and any
+ * acceptance gate) on hooksInstalled().
  *
  * Counters are thread-local: a Session::serveFrame call runs
  * entirely on one pool thread, so the delta of threadAllocs() across
@@ -75,9 +75,9 @@ class AllocCounter
 };
 
 /**
- * Anchor for the hook translation unit: benchmarks call this once so
- * the linker pulls alloc_hooks.o (and with it the operator new /
- * delete overrides) out of the static library. Returns
+ * Anchor for the hook translation unit: audited binaries call this
+ * once so the linker pulls alloc_hooks.o (and with it the operator
+ * new / delete overrides) out of the static library. Returns
  * hooksInstalled(). Declared here, defined in alloc_hooks.cc.
  */
 bool allocHooksForceLink();

@@ -4,14 +4,14 @@
  * allocation counts into AllocCounter's thread-local counters.
  *
  * This translation unit is linked ONLY into the allocation-audited
- * benchmarks (see eyecod_alloc_hooks in src/common/CMakeLists.txt).
+ * binaries (see eyecod_alloc_hooks in src/common/CMakeLists.txt).
  * Linking it anywhere else is harmless but pointless; keeping it out
- * of the test binaries leaves the sanitizers' own allocator
+ * of the other test binaries leaves the sanitizers' own allocator
  * interposition fully in charge there.
  *
  * The overrides delegate to malloc / aligned allocation, which the
- * sanitizers intercept as usual — so the serving CI job can run
- * bench_serving under ASan/UBSan *with* the counters active.
+ * sanitizers intercept as usual — so the sanitizer CI job runs
+ * tests/test_alloc under ASan/UBSan *with* the counters active.
  */
 
 #include "common/alloc_counter.h"

@@ -4,9 +4,9 @@
  * ({"section": {"metric": number}}) that bench binaries merge into so
  * the perf trajectory is trackable across PRs.
  *
- * Several binaries append to the same file (bench_runtime and
- * bench_micro_stages both write BENCH_runtime.json), so load() parses
- * the existing file and set() overwrites only the touched metrics.
+ * Runs append to an existing file (a rerun, or bench_runtime pointed
+ * at another report), so load() parses the existing file and set()
+ * overwrites only the touched metrics.
  * The parser accepts exactly the schema this writer produces; a
  * missing or malformed file yields an empty store.
  */

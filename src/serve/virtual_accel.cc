@@ -181,7 +181,6 @@ VirtualAccelPool::configureHardware(
     workload_ = workload;
     hw_ = hw;
     have_hardware_ = true;
-    degraded_models_.clear();
 }
 
 void
@@ -199,48 +198,24 @@ VirtualAccelPool::setFaultSchedule(std::vector<ChipFaultEvent> events)
     std::sort(schedule_.begin(), schedule_.end(), eventBefore);
 }
 
-const ServiceModel *
-VirtualAccelPool::degradedModel(int retired)
+std::optional<ServiceModel>
+VirtualAccelPool::degradedModel(int retired) const
 {
     if (retired <= 0)
-        return &model_;
-    const auto it = degraded_models_.find(retired);
-    if (it != degraded_models_.end())
-        return it->second.amortized_frame_us > 0.0 ? &it->second
-                                                   : nullptr;
-    ServiceModel degraded; // Zero-cost sentinel = unusable.
-    if (have_hardware_) {
-        // Re-derive the timing model on the surviving lanes: the
-        // orchestrator re-partitions work exactly as the PR-3
-        // retirement path does, so serve-time degradation and
-        // simulator-time degradation agree.
-        const Result<accel::HwConfig> hw =
-            accel::retireLanes(hw_, retired);
-        if (hw.ok()) {
-            const Result<ServiceModel> m =
-                deriveServiceModel(workload_, hw.value());
-            if (m.ok())
-                degraded = m.value();
-        }
-    } else {
-        // No hardware attached: proportional lane-count scaling of
-        // the baseline model (sweeps and unit tests).
-        const int lanes = hw_.mac_lanes;
-        if (retired < lanes) {
-            const double scale =
-                double(lanes) / double(lanes - retired);
-            degraded = model_;
-            degraded.gaze_frame_us *= scale;
-            degraded.seg_frame_us *= scale;
-            degraded.amortized_frame_us *= scale;
-            degraded.chip_fps = model_.chip_fps / scale;
-        }
-    }
-    const auto [pos, inserted] =
-        degraded_models_.emplace(retired, degraded);
-    (void)inserted;
-    return pos->second.amortized_frame_us > 0.0 ? &pos->second
-                                                : nullptr;
+        return model_;
+    eyecod_assert(have_hardware_,
+                  "lane retirement on a pool without configureHardware()");
+    // Re-derive the timing model on the surviving lanes: the
+    // orchestrator re-partitions work exactly as the simulator's
+    // retirement path does, so serve-time degradation and
+    // simulator-time degradation agree.
+    const Result<accel::HwConfig> hw = accel::retireLanes(hw_, retired);
+    if (!hw.ok())
+        return std::nullopt;
+    const Result<ServiceModel> m = deriveServiceModel(workload_, hw.value());
+    if (!m.ok() || m.value().amortized_frame_us <= 0.0)
+        return std::nullopt;
+    return m.value();
 }
 
 VirtualAccelPool::EventOutcome
@@ -278,10 +253,10 @@ VirtualAccelPool::applyEventsUpTo(long long now_us)
             if (!chip.usable)
                 break;
             const int retired = chip.retired_lanes + ev.lanes;
-            const ServiceModel *m = degradedModel(retired);
+            const std::optional<ServiceModel> m = degradedModel(retired);
             chip.retired_lanes = retired;
             out.lanes_retired += ev.lanes;
-            if (m == nullptr) {
+            if (!m) {
                 // No usable lane survives: the chip is bricked, not
                 // degraded — it fails and never rejoins.
                 chip.usable = false;

@@ -45,7 +45,7 @@
 #ifndef EYECOD_SERVE_VIRTUAL_ACCEL_H
 #define EYECOD_SERVE_VIRTUAL_ACCEL_H
 
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "accel/hw_config.h"
@@ -174,9 +174,9 @@ class VirtualAccelPool
     const ServiceModel &model() const { return model_; }
 
     /**
-     * Enable degraded-model derivation for lane retirements. Without
-     * this, RetireLanes events fall back to proportional lane-count
-     * scaling of the baseline model.
+     * Attach the workload and hardware a lane retirement re-derives
+     * its degraded model from. A pool must have them before its
+     * first RetireLanes event (asserted).
      */
     void configureHardware(
         const accel::PipelineWorkloadConfig &workload,
@@ -335,16 +335,15 @@ class VirtualAccelPool
     };
 
     /**
-     * Degraded model for @p retired total lanes (cached); nullptr
-     * when no usable lane survives.
+     * Model of a chip with @p retired lanes mapped out, derived anew
+     * on each call; nullopt when no usable lane survives.
      */
-    const ServiceModel *degradedModel(int retired);
+    std::optional<ServiceModel> degradedModel(int retired) const;
 
     // Snapshots carry the chip states, the busy total and the
     // schedule cursor. The rest is configuration (the schedule itself
     // only travels as its length, for validation), re-established by
-    // configureHardware() on rebuild, or a memo cache re-derived on
-    // demand after restore.
+    // configureHardware() on rebuild.
     ServiceModel model_;
     double batch_fraction_;
     std::vector<ChipState> state_;
@@ -356,8 +355,6 @@ class VirtualAccelPool
     bool have_hardware_ = false;
     accel::PipelineWorkloadConfig workload_;
     accel::HwConfig hw_;
-    /** retired-lane count -> re-derived model (ordered: replayable). */
-    std::map<int, ServiceModel> degraded_models_;
 };
 
 } // namespace serve

@@ -5,7 +5,9 @@
  * virtual-time point — mid-batch, mid-failover-backoff, or with the
  * degradation ladder engaged — restore the snapshot into a fresh
  * engine, and prove the resumed run is **bitwise identical** to an
- * uninterrupted run, at 1 / 2 / 8 scheduler threads.
+ * uninterrupted run, at 1 / 2 / 8 scheduler threads; and kill it
+ * between checkpoints of a cadence grid, restore the newest one and
+ * replay the lost suffix, with the same result.
  *
  * Plus the hostile-input side: a deterministic truncation + bit-flip
  * sweep over a real snapshot must always produce a typed
@@ -162,6 +164,13 @@ chaosTraffic()
  *     A's and B's sessions already hold), and drive the *remaining*
  *     inputs -> resumed signature.
  *
+ * With @p cadence_ticks > 0, B instead checkpoints every that many
+ * ticks, keeping the newest snapshot and the driver cursor saved
+ * beside it, and takes none at the crash point: C restores that
+ * checkpoint and replays the suffix the crash lost. That holds B's
+ * earlier saves to leaving later state unchanged, and the replay to
+ * being exact.
+ *
  * Scheduler ticks are state-neutral pause points (advanceTo at a
  * tick boundary leaves exactly the state a longer advance passes
  * through), so A and B+C see identical event/tick interleavings and
@@ -172,7 +181,7 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
                long long search_from,
                const std::function<bool(const ServingEngine &)>
                    &kill_when,
-               const char *what)
+               const char *what, long long cadence_ticks = 0)
 {
     const std::vector<SessionTraffic> traffic =
         makeTraffic(servingTestRenderer(), tc);
@@ -187,10 +196,15 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
     finishTrace(ref, traffic, events, ref_state);
     const std::string want = engineSignature(ref);
 
-    // B: drive to the crash point and snapshot.
+    // B: drive to the crash point, checkpointing on the cadence grid
+    // or, without one, at the crash point.
     ServingEngine victim(cfg, servingTestEstimator(),
                          servingTestRenderer());
     DriverState victim_state;
+    std::vector<uint8_t> snapshot;
+    DriverState snapshot_state;
+    long long t_snap = -1;
+    int saves = 0;
     long long t_kill = -1;
     for (long long t = cfg.tick_us; t <= horizon; t += cfg.tick_us) {
         applyEventsUpTo(victim, traffic, events, victim_state, t);
@@ -198,11 +212,23 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
             t_kill = t;
             break;
         }
+        if (cadence_ticks > 0 && (t / cfg.tick_us) % cadence_ticks == 0) {
+            snapshot = victim.saveSnapshot();
+            snapshot_state = victim_state;
+            t_snap = t;
+            ++saves;
+        }
     }
     ASSERT_GE(t_kill, 0)
         << what << ": kill predicate never held before the horizon";
     ASSERT_TRUE(kill_when(victim));
-    const std::vector<uint8_t> snapshot = victim.saveSnapshot();
+    if (cadence_ticks == 0) {
+        snapshot = victim.saveSnapshot();
+        snapshot_state = victim_state;
+        t_snap = t_kill;
+    } else {
+        ASSERT_GE(saves, 2) << what << ": no earlier save to hold";
+    }
     ASSERT_FALSE(snapshot.empty());
 
     // C: restore into a fresh engine and finish the trace.
@@ -210,7 +236,7 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
                           servingTestRenderer());
     const Status restored = resumed.restoreSnapshot(snapshot);
     ASSERT_TRUE(restored.isOk()) << restored.toString();
-    EXPECT_EQ(resumed.now(), victim.now());
+    EXPECT_EQ(resumed.now(), t_snap);
     // Restore rebuilt every session from configuration; nothing it
     // derived may differ from what was saved.
     EXPECT_TRUE(resumed.saveSnapshot() == snapshot)
@@ -224,7 +250,7 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
                            resumed.sessionCount()))
             << what;
     }
-    DriverState resumed_state = victim_state;
+    DriverState resumed_state = snapshot_state;
     finishTrace(resumed, traffic, events, resumed_state);
     expectSameSignature(want, engineSignature(resumed), what);
 }
@@ -284,6 +310,25 @@ TEST(CrashRecovery, ResumeIsBitwiseIdenticalKilledMidLadder)
                 return eng.healthController().tier() >= 1;
             },
             "mid-ladder kill");
+    }
+}
+
+TEST(CrashRecovery, ResumeIsBitwiseIdenticalKilledBetweenCheckpoints)
+{
+    // Checkpoint every 7, 13 or 23 ticks and crash 61 ms in, off all
+    // three grids and inside the chip-1 outage: each resume restores
+    // the checkpoint 5, 9 or 15 ticks back and replays from there.
+    for (long long cadence : {7, 13, 23}) {
+        SCOPED_TRACE("cadence_ticks=" + std::to_string(cadence));
+        ServingConfig cfg = chaosConfig(1);
+        cfg.record_completions = true;
+        runKillRestore(
+            cfg, chaosTraffic(), 61000,
+            [](const ServingEngine &eng) {
+                return eng.fleetMetrics().chip_failures == 1 &&
+                       !eng.pool().alive(1);
+            },
+            "checkpoint-cadence kill", cadence);
     }
 }
 

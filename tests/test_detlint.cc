@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "findings.h"
+#include "header_check.h"
 #include "rules.h"
 
 namespace eyecod {
@@ -465,6 +466,19 @@ TEST(DetlintTree, FixtureDirectoryReproducesFindings)
     for (const Finding &f : findings)
         EXPECT_TRUE(f.file == "r1_fail.cc" || f.file == "r5_fail.cc")
             << f.file;
+}
+
+TEST(DetlintH1, OnlyTheHeaderMissingAnIncludeIsReported)
+{
+    HeaderCheckOptions opts;
+    opts.cxx = DETLINT_CXX;
+    int checked = 0;
+    const auto findings = checkHeaders(
+        DETLINT_FIXTURE_DIR, {"h1_pass.h", "h1_fail.h"}, opts, &checked);
+    EXPECT_EQ(checked, 2);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, Rule::H1HeaderSelfContained);
+    EXPECT_EQ(findings[0].file, "h1_fail.h");
 }
 
 TEST(DetlintOutput, JsonIsMachineReadableAndStable)

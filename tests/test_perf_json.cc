@@ -46,20 +46,18 @@ TEST(PerfJson, RoundTripsThroughDisk)
 
 TEST(PerfJson, UpdateMergesAcrossWriters)
 {
-    // Two "binaries" updating the same file must not clobber each
-    // other's sections — the bench_runtime / bench_micro_stages
-    // contract.
+    // Two writers updating the same file must not clobber each
+    // other's sections.
     const std::string path = tempPath("perf_merge.json");
     std::remove(path.c_str());
 
     ASSERT_TRUE(PerfJson::update(path, "runtime", "serial_ms", 10.0));
-    ASSERT_TRUE(
-        PerfJson::update(path, "micro_stages", "BM_Seg", 2.5));
+    ASSERT_TRUE(PerfJson::update(path, "stages", "seg_ms", 2.5));
     ASSERT_TRUE(PerfJson::update(path, "runtime", "serial_ms", 9.0));
 
     const PerfJson loaded = PerfJson::load(path);
     EXPECT_DOUBLE_EQ(loaded.get("runtime", "serial_ms"), 9.0);
-    EXPECT_DOUBLE_EQ(loaded.get("micro_stages", "BM_Seg"), 2.5);
+    EXPECT_DOUBLE_EQ(loaded.get("stages", "seg_ms"), 2.5);
     std::remove(path.c_str());
 }
 

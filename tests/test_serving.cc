@@ -1,9 +1,10 @@
 /**
  * @file
- * Behavioral tests of the multi-session ServingEngine: admission
- * control (typed Overloaded rejections), drop-accounting identities,
- * graceful overload with a fairness bound, session lifecycle, stop
- * semantics, and the metrics export.
+ * Behavioral tests of the multi-session ServingEngine: throughput
+ * scaling across sessions, admission control (typed Overloaded
+ * rejections), drop-accounting identities, graceful overload with a
+ * fairness bound, session lifecycle, stop semantics, and the metrics
+ * export.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +46,29 @@ TEST(ServingEngine, ServesEverythingBelowSaturation)
     EXPECT_LE(f.p50_latency_us, f.p95_latency_us);
     EXPECT_LE(f.p95_latency_us, f.p99_latency_us);
     EXPECT_GT(f.makespan_us, 0);
+}
+
+TEST(ServingEngine, FleetThroughputScalesAcrossSessions)
+{
+    // One 240 FPS user cannot feed four chips; sixteen users can, so
+    // the scheduler must multiplex sessions across the chips to reach
+    // >= 3x the single-session aggregate FPS (virtual time), with no
+    // frame shed and no deadline missed in either fleet.
+    const auto serve = [](int sessions) {
+        ServingEngine eng(quickServingConfig(4), servingTestEstimator(),
+                          servingTestRenderer());
+        return eng.runTrace(makeTraffic(servingTestRenderer(),
+                                        quickTraffic(sessions, 30)));
+    };
+    const FleetMetrics one = serve(1);
+    const FleetMetrics sixteen = serve(16);
+    for (const FleetMetrics &f : {one, sixteen}) {
+        EXPECT_EQ(f.completed, f.submitted);
+        EXPECT_EQ(f.deadline_misses, 0);
+    }
+    ASSERT_GT(one.aggregate_fps, 0.0);
+    EXPECT_GE(sixteen.aggregate_fps / one.aggregate_fps, 3.0)
+        << sixteen.aggregate_fps << " vs " << one.aggregate_fps;
 }
 
 TEST(ServingEngine, ServiceModelIsRealTimePerChip)

@@ -4,7 +4,8 @@
  * VirtualAccelPool (fail / rejoin / retire-lanes, busy refunds,
  * degraded service models), the seeded chaos-schedule generator, the
  * FleetHealthController tier ladder, and the engine's end-to-end
- * failover behavior — re-dispatch of in-flight frames, dead-fleet
+ * failover behavior — re-dispatch of in-flight frames, the ladder's
+ * round trip and p99 recovery across a chip outage, dead-fleet
  * drains, tier-4 admission rejection, and the fleet counters
  * surfaced through sessionHealth().
  */
@@ -13,6 +14,7 @@
 
 #include <cmath>
 
+#include "common/stats.h"
 #include "serving_test_util.h"
 
 namespace eyecod {
@@ -64,15 +66,26 @@ TEST(VirtualAccelPool, FailRefundsBusyAndRejoinRestores)
     EXPECT_DOUBLE_EQ(pool.effectiveCapacity(), 2.0);
 }
 
+/** Exact equality of every ServiceModel field. */
+void
+expectSameModel(const ServiceModel &a, const ServiceModel &b)
+{
+    EXPECT_EQ(a.gaze_frame_us, b.gaze_frame_us);
+    EXPECT_EQ(a.seg_frame_us, b.seg_frame_us);
+    EXPECT_EQ(a.amortized_frame_us, b.amortized_frame_us);
+    EXPECT_EQ(a.chip_fps, b.chip_fps);
+}
+
 TEST(VirtualAccelPool, RetireLanesDegradesTheChipModel)
 {
     core::SystemConfig sys = servingTestSystem();
     const ServiceModel base =
         deriveServiceModel(sys.workload, sys.hw).value();
-    VirtualAccelPool pool(2, base, 0.3);
+    VirtualAccelPool pool(3, base, 0.3);
     pool.configureHardware(sys.workload, sys.hw);
     pool.setFaultSchedule({
         ChipFaultEvent{1000, 0, ChipEventKind::RetireLanes, 32},
+        ChipFaultEvent{2000, 2, ChipEventKind::RetireLanes, 32},
     });
     const auto outcome = pool.applyEventsUpTo(1000);
     ASSERT_EQ(outcome.lane_retired.size(), 1u);
@@ -84,11 +97,20 @@ TEST(VirtualAccelPool, RetireLanesDegradesTheChipModel)
     EXPECT_TRUE(pool.alive(0));
     EXPECT_GT(pool.chipModel(0).amortized_frame_us,
               base.amortized_frame_us);
-    EXPECT_GT(pool.effectiveCapacity(), 1.0);
-    EXPECT_LT(pool.effectiveCapacity(), 2.0);
+    EXPECT_GT(pool.effectiveCapacity(), 2.0);
+    EXPECT_LT(pool.effectiveCapacity(), 3.0);
     // The healthy chip's model is untouched.
     EXPECT_DOUBLE_EQ(pool.chipModel(1).amortized_frame_us,
                      base.amortized_frame_us);
+    // A second chip losing as many lanes derives the model anew, and
+    // both equal the scheduler's model of the retired hardware.
+    ASSERT_EQ(pool.applyEventsUpTo(2000).lane_retired.size(), 1u);
+    const ServiceModel want =
+        deriveServiceModel(sys.workload,
+                           accel::retireLanes(sys.hw, 32).value())
+            .value();
+    expectSameModel(pool.chipModel(0), want);
+    expectSameModel(pool.chipModel(2), want);
 }
 
 TEST(ChaosSchedule, ZeroRatesYieldEmptySchedule)
@@ -233,6 +255,51 @@ TEST(ServingEngine, ChipFailureRedispatchesInFlightFrames)
     EXPECT_EQ(eng.activeSessions(), 16);
     // Re-dispatched completions carry their failover latency tax.
     EXPECT_GT(f.failover_p99_latency_us, 0.0);
+}
+
+TEST(ServingEngine, LadderRidesOutAChipOutageAndP99Recovers)
+{
+    // Sixteen users on four chips with the ladder on: chip 1 dies
+    // mid-batch and rejoins 150 ms later. The ladder must engage
+    // during the outage and walk back to tier 0, and completions one
+    // ROI-refresh window past the rejoin must show a p99 latency
+    // within 1.5x of the pre-fault p99.
+    const long long t_fail = 156000;
+    const long long t_rejoin = 306000;
+    ServingConfig cfg = quickServingConfig(4);
+    cfg.record_completions = true;
+    cfg.failover.chip_faults = {
+        ChipFaultEvent{t_fail, 1, ChipEventKind::Fail, 0},
+        ChipFaultEvent{t_rejoin, 1, ChipEventKind::Rejoin, 0},
+    };
+    ServingEngine eng(cfg, servingTestEstimator(),
+                      servingTestRenderer());
+    const FleetMetrics f =
+        eng.runTrace(makeTraffic(servingTestRenderer(),
+                                 failoverTraffic(16, 120)));
+    EXPECT_EQ(f.chip_failures, 1);
+    EXPECT_EQ(f.chip_rejoins, 1);
+
+    long long engaged_ticks = 0;
+    for (int tier = 1; tier <= kNumDegradationTiers; ++tier)
+        engaged_ticks += f.tier_residency[tier];
+    EXPECT_GT(engaged_ticks, 0);
+    EXPECT_EQ(f.degradation_tier, 0);
+
+    const long long recovered_from =
+        t_rejoin +
+        (long long)(cfg.system.pipeline.roi_refresh) * cfg.frame_interval_us;
+    std::vector<double> pre, recovered;
+    ASSERT_EQ(eng.completionLogDropped(), 0);
+    for (const CompletionRecord &c : eng.completionLog()) {
+        if (c.completion_us < t_fail)
+            pre.push_back(c.latency_us);
+        else if (c.completion_us >= recovered_from)
+            recovered.push_back(c.latency_us);
+    }
+    ASSERT_FALSE(pre.empty());
+    ASSERT_FALSE(recovered.empty());
+    EXPECT_LE(percentile(recovered, 0.99), 1.5 * percentile(pre, 0.99));
 }
 
 TEST(ServingEngine, DeadFleetShedsPendingWorkAndDrainTerminates)

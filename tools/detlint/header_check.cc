@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 namespace fs = std::filesystem;
 
@@ -38,6 +39,26 @@ firstLine(const std::string &text)
     return text.substr(start, end == std::string::npos ? std::string::npos
                                                        : end - start);
 }
+
+/** A probe directory, removed with everything in it on scope exit. */
+class ProbeDir
+{
+  public:
+    explicit ProbeDir(fs::path path) : path_(std::move(path)) {}
+    ProbeDir(const ProbeDir &) = delete;
+    ProbeDir &operator=(const ProbeDir &) = delete;
+
+    ~ProbeDir()
+    {
+        std::error_code ec;
+        fs::remove_all(path_, ec);
+    }
+
+    const fs::path &path() const { return path_; }
+
+  private:
+    fs::path path_;
+};
 
 } // namespace
 
@@ -82,14 +103,24 @@ checkHeaders(const std::string &repo_root,
         }
     }
 
-    const fs::path tmp_dir =
-        fs::temp_directory_path() / "detlint_header_check";
+    // A private probe directory per call, so concurrent checks (one
+    // ctest per src/ directory) never overwrite each other's TU.
     std::error_code ec;
-    fs::create_directories(tmp_dir, ec);
-    const fs::path tu = tmp_dir / "tu.cc";
-    const fs::path diag = tmp_dir / "diag.txt";
-
+    std::string tmpl =
+        (fs::temp_directory_path(ec) / "detlint_header_check.XXXXXX")
+            .string();
     std::vector<Finding> findings;
+    if (ec || mkdtemp(tmpl.data()) == nullptr) {
+        findings.push_back({Rule::H1HeaderSelfContained, tmpl, 1,
+                            "cannot create the probe directory"});
+        if (checked)
+            *checked = 0;
+        return findings;
+    }
+    const ProbeDir probe_dir(tmpl);
+    const fs::path tu = probe_dir.path() / "tu.cc";
+    const fs::path diag = probe_dir.path() / "diag.txt";
+
     int count = 0;
     for (const fs::path &header : headers) {
         {

@@ -30,10 +30,11 @@ struct HeaderCheckOptions
 };
 
 /**
- * Compile every .h/.hpp under @p roots standalone. Returns one H1
- * finding per header that fails, message carrying the first
- * diagnostic line. @p checked (optional) receives the count of
- * headers compiled.
+ * Compile every .h/.hpp under @p roots standalone, each probe TU in a
+ * temp directory private to the call (so concurrent runs are safe)
+ * and removed on return. Returns one H1 finding per header that
+ * fails, message carrying the first diagnostic line. @p checked
+ * (optional) receives the count of headers compiled.
  */
 std::vector<Finding> checkHeaders(const std::string &repo_root,
                                   const std::vector<std::string> &roots,
