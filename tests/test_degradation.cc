@@ -2,15 +2,18 @@
  * @file
  * Degradation state-machine tests: determinism under a fixed fault
  * schedule, full state restoration on reset(), the ROI fallback
- * chain (predicted -> last-known-good -> centered crop), and the
- * stale-ROI watchdog's capped exponential backoff.
+ * chain (predicted -> last-known-good -> centered crop), the
+ * stale-ROI watchdog's capped exponential backoff, and one pinned
+ * faulted FlatCam stream.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
 #include "eyetrack/pipeline.h"
 
 namespace eyecod {
@@ -115,6 +118,96 @@ TEST(Degradation, FlatCamFaultedRunIsReproducibleAfterReset)
         const auto r = pipe.processFrame(ren.sample(900 + f).image);
         expectIdentical(first[size_t(f)], r, f);
     }
+}
+
+/** FlatCam with a dense fault schedule: every kind, NaN poison, 8%
+ *  drops. */
+PipelineConfig
+faultedConfig()
+{
+    PipelineConfig pc;
+    pc.camera = CameraKind::FlatCam;
+    pc.roi_refresh = 8;
+    pc.faults.drop_rate = 0.08;
+    pc.faults.dead_block_rate = 0.1;
+    pc.faults.hot_block_rate = 0.1;
+    pc.faults.burst_noise_rate = 0.1;
+    pc.faults.nan_rate = 0.06;
+    pc.faults.saturation_rate = 0.1;
+    return pc;
+}
+
+/** Appends the object bits of @p v to @p out. */
+template <class T>
+void
+appendBits(std::vector<uint8_t> &out, const T &v)
+{
+    const auto *p = reinterpret_cast<const uint8_t *>(&v);
+    out.insert(out.end(), p, p + sizeof(T));
+}
+
+/** FNV-1a hash of a byte stream. */
+uint64_t
+hashBytes(const std::vector<uint8_t> &bytes)
+{
+    return snap::fnv1a(bytes.data(), bytes.size());
+}
+
+TEST(Degradation, FaultedFlatCamStreamIsPinned)
+{
+    // The reset-replay tests compare two runs of one binary, so a
+    // change that moves every faulted frame the same way in both
+    // runs (a read-noise draw on a dropped frame shifts every later
+    // view) passes them. These FNV-1a hashes pin the stream itself:
+    // gaze bits, ROIs, health records and view bits of 40 frames
+    // through drops, every sensor fault and NaN poison, straight
+    // after training (x86-64 libstdc++/glibc values).
+    const PipelineConfig pc = faultedConfig();
+    const auto ren = renderer128();
+    PredictThenFocusPipeline pipe(pc);
+    pipe.trainGaze(ren, 80);
+
+    std::vector<uint8_t> gaze, roi, health, view;
+    for (int f = 0; f < 40; ++f) {
+        const auto &r =
+            pipe.processFrame(ren.sample(uint64_t(9000 + f)).image);
+        appendBits(gaze, r.gaze);
+        appendBits(roi, r.roi_refreshed);
+        appendBits(roi, r.roi.x);
+        appendBits(roi, r.roi.y);
+        appendBits(roi, r.roi.width);
+        appendBits(roi, r.roi.height);
+        const FrameHealth &h = r.health;
+        appendBits(health, h.degraded);
+        appendBits(health, h.frame_dropped);
+        appendBits(health, h.roi_source);
+        appendBits(health, h.faults_seen);
+        appendBits(health, h.nonfinite_view);
+        appendBits(health, h.roi_rejected);
+        appendBits(health, h.watchdog_retry);
+        appendBits(health, h.gaze_held);
+        appendBits(health, h.roi_confidence);
+        appendBits(health, h.recovery_latency);
+        const auto *px =
+            reinterpret_cast<const uint8_t *>(r.view.data().data());
+        view.insert(view.end(), px,
+                    px + r.view.size() * sizeof(float));
+    }
+    // The stream crosses the paths the pin is for: drops, a
+    // sensor-domain fault, and NaN poison that reaches a view.
+    const HealthStats &stats = pipe.healthStats();
+    EXPECT_GT(stats.dropped_frames, 0);
+    EXPECT_GT(stats.fault_counts[size_t(flatcam::FaultKind::BurstNoise)],
+              0);
+    EXPECT_GT(stats.nonfinite_views, 0);
+    EXPECT_EQ(hashBytes(gaze), 0xc84d4efd5566c170u)
+        << std::hex << hashBytes(gaze);
+    EXPECT_EQ(hashBytes(roi), 0x5f49ec5c769b58b3u)
+        << std::hex << hashBytes(roi);
+    EXPECT_EQ(hashBytes(health), 0x780065010be0eaabu)
+        << std::hex << hashBytes(health);
+    EXPECT_EQ(hashBytes(view), 0x21aab1ae0258d056u)
+        << std::hex << hashBytes(view);
 }
 
 TEST(Degradation, ResetRestoresTheFullStateMachine)
