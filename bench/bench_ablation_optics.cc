@@ -55,8 +55,12 @@ main()
             const int n = 6;
             for (int i = 0; i < n; ++i) {
                 const auto s = ren.sample(500 + i);
-                const Image out =
-                    rec.reconstruct(cam.capture(s.image));
+                Image y, out;
+                if (!cam.captureFrameInto(s.image, i, &y).isOk() ||
+                    !rec.reconstructFrameInto(y, &out).isOk()) {
+                    std::fprintf(stderr, "FlatCam frame %d failed\n", i);
+                    return 1;
+                }
                 psnr += imagePsnr(out, s.image);
                 miou += segmentationIou(seg.segment(out),
                                         s.mask)[4];
@@ -84,8 +88,12 @@ main()
             const int n = 6;
             for (int i = 0; i < n; ++i) {
                 const auto s = ren.sample(600 + i);
-                const Image out =
-                    rec.reconstruct(cam.capture(s.image));
+                Image y, out;
+                if (!cam.captureFrameInto(s.image, i, &y).isOk() ||
+                    !rec.reconstructFrameInto(y, &out).isOk()) {
+                    std::fprintf(stderr, "FlatCam frame %d failed\n", i);
+                    return 1;
+                }
                 psnr += imagePsnr(out, s.image);
                 miou += segmentationIou(seg.segment(out),
                                         s.mask)[4];
@@ -124,10 +132,16 @@ main()
             const int n = 4;
             for (int i = 0; i < n; ++i) {
                 const auto s = ren64.sample(700 + i);
-                const Image y = cam.capture(s.image);
-                p_design +=
-                    imagePsnr(rec_design.reconstruct(y), s.image);
-                p_cal += imagePsnr(rec_cal.reconstruct(y), s.image);
+                Image y, x_design, x_cal;
+                if (!cam.captureFrameInto(s.image, i, &y).isOk() ||
+                    !rec_design.reconstructFrameInto(y, &x_design)
+                         .isOk() ||
+                    !rec_cal.reconstructFrameInto(y, &x_cal).isOk()) {
+                    std::fprintf(stderr, "FlatCam frame %d failed\n", i);
+                    return 1;
+                }
+                p_design += imagePsnr(x_design, s.image);
+                p_cal += imagePsnr(x_cal, s.image);
             }
             t.addRow({formatDouble(fab, 2),
                       formatDouble(p_design / n, 1),

@@ -59,8 +59,16 @@ main()
     const flatcam::FlatCamSensor sensor(mask, {});
     const flatcam::FlatCamReconstructor recon(mask, 2e-3);
 
-    const Image measurement = sensor.capture(s.image);
-    const Image reconstructed = recon.reconstruct(measurement);
+    Image measurement;
+    Image reconstructed;
+    Status status = sensor.captureFrameInto(s.image, 0, &measurement);
+    if (status.isOk())
+        status = recon.reconstructFrameInto(measurement, &reconstructed);
+    if (!status.isOk()) {
+        std::fprintf(stderr, "FlatCam frame failed: %s\n",
+                     status.toString().c_str());
+        return 1;
+    }
     const Image meas_crop =
         measurement.cropped(Rect{16, 16, 128, 128});
 

@@ -49,13 +49,20 @@ class ImageConstView
     {
     }
 
-    /** Full view over an owning image (stride == width). */
-    static ImageConstView
-    of(const Image &img)
+    /**
+     * Full view over an owning image (stride == width). Implicit, so
+     * every call that takes a view takes an Image too; the view
+     * follows the image's lifetime rules above, and one built from a
+     * temporary dies with the full expression.
+     */
+    ImageConstView(const Image &img)
+        : ImageConstView(img.data().data(), img.height(), img.width(),
+                         img.width())
     {
-        return ImageConstView(img.data().data(), img.height(),
-                              img.width(), img.width());
     }
+
+    /** The same full view, spelled out. */
+    static ImageConstView of(const Image &img) { return img; }
 
     /** View height in pixels. */
     int height() const { return height_; }
@@ -129,13 +136,18 @@ class ImageView
     {
     }
 
-    /** Full mutable view over an owning image (stride == width). */
-    static ImageView
-    of(Image &img)
+    /**
+     * Full mutable view over an owning image (stride == width);
+     * implicit, with ImageConstView's lifetime rule.
+     */
+    ImageView(Image &img)
+        : ImageView(img.data().data(), img.height(), img.width(),
+                    img.width())
     {
-        return ImageView(img.data().data(), img.height(), img.width(),
-                         img.width());
     }
+
+    /** The same full view, spelled out. */
+    static ImageView of(Image &img) { return img; }
 
     /** View height in pixels. */
     int height() const { return height_; }

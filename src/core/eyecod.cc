@@ -21,7 +21,7 @@ EyeCoDSystem::train(const dataset::SyntheticEyeRenderer &renderer,
     pipe_->trainGaze(renderer, train_count);
 }
 
-eyetrack::PredictThenFocusPipeline::FrameResult
+const eyetrack::PredictThenFocusPipeline::FrameResult &
 EyeCoDSystem::processFrame(const Image &scene)
 {
     return pipe_->processFrame(scene);
@@ -35,10 +35,10 @@ EyeCoDSystem::processFrameChecked(const Image &scene)
         scene.width() != cfg_.pipeline.scene_size;
     // Run the frame through the pipeline unconditionally so the
     // degradation FSM and health counters advance exactly as on the
-    // unchecked path; only the reporting differs. The by-reference
-    // entry avoids copying the result (and its full-frame view) on
-    // the serving hot path.
-    const auto &r = pipe_->processFrameRef(scene);
+    // unchecked path; only the reporting differs. The result is read
+    // in place: its full-frame view is never copied on the serving
+    // hot path.
+    const auto &r = pipe_->processFrame(scene);
     if (mis_sized)
         return Status::error(
             ErrorCode::ShapeMismatch,

@@ -100,24 +100,6 @@ struct AccelHealth
 };
 
 /**
- * Fleet-level failover counters, filled in by the serving engine
- * (serve::ServingEngine::sessionHealth); all-zero for a standalone
- * EyeCoDSystem that serves no fleet.
- */
-struct FleetFailoverHealth
-{
-    long long chip_failures = 0;     ///< Whole-chip outages seen.
-    long long chip_rejoins = 0;      ///< Chips back in service.
-    long long lanes_retired = 0;     ///< MAC lanes mapped out.
-    long long redispatched_frames = 0; ///< Completions that survived
-                                       ///  a chip failure.
-    long long failover_drops = 0;    ///< Frames shed after retries
-                                     ///  were exhausted.
-    int degradation_tier = 0;        ///< Ladder position (0..4).
-    long long tier_transitions = 0;  ///< Ladder moves, both ways.
-};
-
-/**
  * Aggregate serving-health report of the functional pipeline:
  * degraded-mode status, fault/recovery counters, and recovery
  * latency, accumulated since construction or the last reset().
@@ -136,8 +118,6 @@ struct HealthReport
     double mean_recovery_latency_frames = 0.0;
     /** Accelerator-side fault counters (simulateFaultedPerformance). */
     AccelHealth accel;
-    /** Fleet failover/degradation counters (serving engine only). */
-    FleetFailoverHealth fleet;
     /**
      * Process-wide warnLimited() rate-limiter snapshot: per-key
      * occurrence and suppression counts, key-ordered. A nonzero
@@ -186,10 +166,12 @@ class EyeCoDSystem
     /**
      * Run one frame through the functional pipeline. The returned
      * FrameResult carries a per-frame FrameHealth record; the call
-     * never aborts on bad input and always emits a finite gaze.
+     * never aborts on bad input and always emits a finite gaze. It
+     * is the pipeline's result slot, valid until the next frame or
+     * reset().
      */
-    eyetrack::PredictThenFocusPipeline::FrameResult processFrame(
-        const Image &scene);
+    const eyetrack::PredictThenFocusPipeline::FrameResult &
+    processFrame(const Image &scene);
 
     /**
      * Typed-error frame entry for the serving layer. Runs the exact

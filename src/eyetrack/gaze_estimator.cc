@@ -20,12 +20,6 @@ RidgeGazeEstimator::RidgeGazeEstimator(GazeEstimatorConfig cfg)
     feat_scratch_.resize(size_t(dim_));
 }
 
-std::vector<double>
-RidgeGazeEstimator::features(const Image &roi) const
-{
-    return featuresInto(ImageConstView::of(roi));
-}
-
 const std::vector<double> &
 RidgeGazeEstimator::featuresInto(ImageConstView roi) const
 {
@@ -60,7 +54,7 @@ RidgeGazeEstimator::train(const std::vector<Image> &rois,
     Matrix xtx(d, d);
     Matrix xty(d, 3);
     for (size_t i = 0; i < n; ++i) {
-        const std::vector<double> f = features(rois[i]);
+        const std::vector<double> &f = featuresInto(rois[i]);
         for (size_t a = 0; a < d; ++a) {
             const double fa = f[a];
             if (fa == 0.0)
@@ -94,12 +88,6 @@ RidgeGazeEstimator::train(const std::vector<Image> &rois,
         for (double &v : weights_)
             v = std::round(v / scale) * scale;
     }
-}
-
-dataset::GazeVec
-RidgeGazeEstimator::predict(const Image &roi) const
-{
-    return predict(ImageConstView::of(roi));
 }
 
 dataset::GazeVec
@@ -143,16 +131,10 @@ NeuralGazeEstimator::NeuralGazeEstimator(NeuralGazeConfig cfg)
 }
 
 dataset::GazeVec
-NeuralGazeEstimator::predict(const Image &roi)
-{
-    return predict(ImageConstView::of(roi));
-}
-
-dataset::GazeVec
 NeuralGazeEstimator::predict(ImageConstView roi)
 {
     // Same-size inputs reduce to a copy inside resizeBilinearInto, so
-    // one path covers both cases of the old owning predict.
+    // one path serves every ROI extent.
     resizeBilinearInto(roi, cfg_.height, cfg_.width, &sized_);
     input_.reset(nn::Shape{1, cfg_.height, cfg_.width});
     std::copy(sized_.data().begin(), sized_.data().end(),

@@ -50,16 +50,13 @@ class RidgeGazeEstimator
     void train(const std::vector<Image> &rois,
                const std::vector<dataset::GazeVec> &gazes);
 
-    /** Predict a unit gaze vector for one ROI crop. */
-    dataset::GazeVec predict(const Image &roi) const;
-
     /**
-     * Zero-copy predict: the ROI arrives as a (possibly strided)
-     * view and the feature scratch is reused across calls — zero
-     * heap allocations in steady state. Bitwise-identical to
-     * predict(). The scratch makes concurrent predict calls on one
-     * estimator instance a data race; each pipeline owns its own
-     * estimator, which is the existing ownership model.
+     * Predict a unit gaze vector for one ROI crop, which may be a
+     * strided view. The feature scratch is reused across calls —
+     * zero heap allocations in steady state — so concurrent predict
+     * calls on one estimator instance are a data race; each
+     * pipeline owns its own estimator, which is the existing
+     * ownership model.
      */
     dataset::GazeVec predict(ImageConstView roi) const;
 
@@ -79,8 +76,6 @@ class RidgeGazeEstimator
     const GazeEstimatorConfig &config() const { return cfg_; }
 
   private:
-    std::vector<double> features(const Image &roi) const;
-
     /** Feature extraction into the member scratch (no allocation). */
     const std::vector<double> &featuresInto(ImageConstView roi) const;
 
@@ -116,15 +111,11 @@ class NeuralGazeEstimator
   public:
     explicit NeuralGazeEstimator(NeuralGazeConfig cfg = {});
 
-    /** Predict a unit gaze vector for one ROI crop. */
-    dataset::GazeVec predict(const Image &roi);
-
     /**
-     * Zero-copy predict: the ROI arrives as a view, the network
-     * input tensor and output tensor are persistent members fed to
-     * the backend without copy-in (Backend::runCheckedInto) — zero
-     * steady-state heap allocations. Bitwise-identical to the
-     * owning-image predict.
+     * Predict a unit gaze vector for one ROI crop. The network
+     * input and output tensors are persistent members fed to the
+     * backend without copy-in (Backend::runCheckedInto) — zero
+     * steady-state heap allocations.
      */
     dataset::GazeVec predict(ImageConstView roi);
 

@@ -79,7 +79,6 @@ PredictThenFocusPipeline::PredictThenFocusPipeline(PipelineConfig cfg)
         recon_ = std::make_unique<flatcam::FlatCamReconstructor>(
             std::shared_ptr<const flatcam::ReconOptics>(
                 optics, &optics->recon));
-        sensor_->setFaultInjector(injector_.get());
         meas_.resetShape(sensor_->sensorRows(), sensor_->sensorCols());
     }
     view_.resetShape(cfg_.scene_size, cfg_.scene_size);
@@ -103,7 +102,13 @@ PredictThenFocusPipeline::acquire(const Image &scene) const
                   scene.height(), scene.width(), cfg_.scene_size);
     if (cfg_.camera == CameraKind::Lens)
         return scene;
-    return recon_->reconstruct(sensor_->capture(scene));
+    Image meas;
+    Image view;
+    Status s = sensor_->captureFrameInto(scene, 0, &meas);
+    if (s.isOk())
+        s = recon_->reconstructFrameInto(meas, &view);
+    eyecod_assert(s.isOk(), "acquire: %s", s.toString().c_str());
+    return view;
 }
 
 void
@@ -149,25 +154,24 @@ PredictThenFocusPipeline::acquireFrameInto(
             "frame %ld: scene %dx%d != configured extent %d", frame,
             scene.height(), scene.width(), cfg_.scene_size);
 
+    // A dropped frame never reaches the sensor: it draws no noise.
+    if (faults.dropped())
+        return Status::error(ErrorCode::FrameDropped,
+                             "frame %ld dropped by sensor", frame);
     if (cfg_.camera == CameraKind::Lens) {
-        if (faults.dropped())
-            return Status::error(ErrorCode::FrameDropped,
-                                 "frame %ld dropped by sensor",
-                                 frame);
         *view = scene; // capacity-reusing copy-assign
         if (injector_)
             injector_->applySensorFaults(faults, frame, *view);
     } else {
-        // FlatCam: the sensor consults the same injector schedule
-        // (drop + sensor-domain faults happen in the measurement
-        // domain, before reconstruction). Measurement and view land
-        // in member scratch; no per-frame image allocation.
-        Status y = sensor_->captureFrameInto(
-            ImageConstView::of(scene), frame, &meas_);
+        // FlatCam: sensor-domain faults corrupt the measurement,
+        // before reconstruction. Measurement and view land in member
+        // scratch; no per-frame image allocation.
+        const Status y = sensor_->captureFrameInto(scene, frame, &meas_);
         if (!y.isOk())
             return y;
-        Status x = recon_->reconstructFrameInto(
-            ImageConstView::of(meas_), view);
+        if (injector_)
+            injector_->applySensorFaults(faults, frame, meas_);
+        const Status x = recon_->reconstructFrameInto(meas_, view);
         if (!x.isOk())
             return x;
     }
@@ -240,15 +244,8 @@ PredictThenFocusPipeline::centeredCrop() const
     return r;
 }
 
-PredictThenFocusPipeline::FrameResult
-PredictThenFocusPipeline::processFrame(const Image &scene)
-{
-    // Copying shim: materializes the member result slot.
-    return processFrameRef(scene);
-}
-
 const PredictThenFocusPipeline::FrameResult &
-PredictThenFocusPipeline::processFrameRef(const Image &scene)
+PredictThenFocusPipeline::processFrame(const Image &scene)
 {
     eyecod_assert(gaze_.trained(),
                   "processFrame() before trainGaze()");
@@ -314,7 +311,7 @@ PredictThenFocusPipeline::processFrameRef(const Image &scene)
                 health.watchdog_retry = true;
                 ++health_stats_.watchdog_retries;
             }
-            refreshRoi(ImageConstView::of(view_), forced, health);
+            refreshRoi(view_, forced, health);
             result.roi_refreshed = true;
         }
     }
@@ -346,7 +343,7 @@ PredictThenFocusPipeline::processFrameRef(const Image &scene)
         // drifts to the frame border), and subview()'s typed error
         // would heap-allocate its message on every such frame.
         dataset::GazeVec g;
-        const ImageConstView src = ImageConstView::of(view_);
+        const ImageConstView src = view_;
         if (src.contains(result.roi)) {
             g = gaze_.predict(src.subview(result.roi).value());
         } else {

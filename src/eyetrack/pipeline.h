@@ -160,8 +160,9 @@ class PredictThenFocusPipeline
     ~PredictThenFocusPipeline();
 
     /**
-     * Acquire a scene through the configured camera: identity for a
-     * lens camera, FlatCam capture + reconstruction otherwise.
+     * Acquire a scene through the configured camera, with no fault
+     * schedule: identity for a lens camera, FlatCam capture +
+     * reconstruction otherwise. The gaze-training path.
      */
     Image acquire(const Image &scene) const;
 
@@ -192,20 +193,15 @@ class PredictThenFocusPipeline
      * dropped/corrupted frame degrades the result (held gaze,
      * fallback ROI) and is recorded in the returned FrameHealth. The
      * emitted gaze vector is always finite.
+     *
+     * The result lives in a member slot, valid until the next
+     * processFrame() or reset() call; copy it to keep it. The
+     * per-frame scratch — acquired view, FlatCam measurement,
+     * clamped ROI crops — is served from the pipeline's buffer arena
+     * and capacity-reusing member images, so steady-state frames
+     * perform zero heap allocations.
      */
-    FrameResult processFrame(const Image &scene);
-
-    /**
-     * Zero-copy variant of processFrame(): identical semantics and
-     * bitwise-identical outputs, but the result lives in a member
-     * slot (valid until the next processFrameRef/processFrame/reset
-     * call) and the per-frame scratch — acquired view, FlatCam
-     * measurement, clamped ROI crops — is served from the pipeline's
-     * buffer arena and capacity-reusing member images. Steady-state
-     * frames perform zero heap allocations. This is the serving-path
-     * entry point; processFrame() is a copying shim over it.
-     */
-    const FrameResult &processFrameRef(const Image &scene);
+    const FrameResult &processFrame(const Image &scene);
 
     /**
      * Reset the full per-sequence state: ROI refresh chain, crop RNG,
@@ -309,9 +305,11 @@ class PredictThenFocusPipeline
 
   private:
     /**
-     * Acquire one serving-path frame into @p view (capacity-reusing);
-     * typed errors, fault-injected. On error @p view is unspecified
-     * and must not be consumed.
+     * Acquire one serving-path frame into @p view (capacity-reusing)
+     * with typed errors, applying this frame's planned @p faults: a
+     * drop before any capture, sensor-domain faults to the lens
+     * image or the FlatCam measurement, NaN poison to the view. On
+     * error @p view is unspecified and must not be consumed.
      */
     Status acquireFrameInto(const Image &scene, long frame,
                             const flatcam::FrameFaults &faults,
@@ -367,7 +365,7 @@ class PredictThenFocusPipeline
     BufferArena arena_;
     Image view_;       ///< Acquired (reconstructed) frame scratch.
     Image meas_;       ///< FlatCam measurement scratch.
-    FrameResult result_; ///< processFrameRef() result slot.
+    FrameResult result_; ///< processFrame() result slot.
 };
 
 } // namespace eyetrack

@@ -139,12 +139,6 @@ largestComponent(int h, int w, const std::vector<char> &allowed)
 } // namespace
 
 SegMask
-ClassicalSegmenter::segment(const Image &eye) const
-{
-    return segment(ImageConstView::of(eye));
-}
-
-SegMask
 ClassicalSegmenter::segment(ImageConstView eye) const
 {
     const int h = eye.height();
@@ -316,16 +310,10 @@ NeuralSegmenter::NeuralSegmenter(NeuralSegmenterConfig cfg)
 }
 
 SegMask
-NeuralSegmenter::segment(const Image &eye)
-{
-    return segment(ImageConstView::of(eye));
-}
-
-SegMask
 NeuralSegmenter::segment(ImageConstView eye)
 {
     // Same-size inputs reduce to a copy inside resizeBilinearInto, so
-    // one path covers both cases of the old owning segment.
+    // one path serves every input extent.
     resizeBilinearInto(eye, cfg_.height, cfg_.width, &sized_);
     input_.reset(nn::Shape{1, cfg_.height, cfg_.width});
     std::copy(sized_.data().begin(), sized_.data().end(),

@@ -56,20 +56,14 @@ class ClassicalSegmenter
     explicit ClassicalSegmenter(SegmenterConfig cfg = {});
 
     /**
-     * Segment an eye image into the four OpenEDS classes.
+     * Segment an eye image (or a strided crop of one) into the four
+     * OpenEDS classes.
      *
      * The pupil is detected as the largest dark connected component;
      * iris and sclera bands are kept only when connected to the
      * pupil region, which suppresses dark/bright clutter elsewhere.
-     */
-    dataset::SegMask segment(const Image &eye) const;
-
-    /**
-     * View-based segmentation: the eye crop arrives as a (possibly
-     * strided) view straight off the frame spine. Bitwise-identical
-     * to the owning-image overload. Segmentation runs only on ROI
-     * refresh frames, so its internal scratch is allocated per call
-     * rather than pooled.
+     * Segmentation runs only on ROI refresh frames, so its internal
+     * scratch is allocated per call rather than pooled.
      */
     dataset::SegMask segment(ImageConstView eye) const;
 
@@ -106,15 +100,9 @@ class NeuralSegmenter
     /**
      * Segment an eye image into the four OpenEDS classes. The input
      * is resized to the network resolution and the per-pixel argmax
-     * over the 4-class logits becomes the mask.
-     */
-    dataset::SegMask segment(const Image &eye);
-
-    /**
-     * View-based segmentation: the crop arrives as a view, the
-     * network input tensor is a persistent member handed to
-     * Backend::runCheckedInto without copy-in. Bitwise-identical to
-     * the owning-image overload.
+     * over the 4-class logits becomes the mask. The network input
+     * tensor is a persistent member handed to
+     * Backend::runCheckedInto without copy-in.
      */
     dataset::SegMask segment(ImageConstView eye);
 

@@ -23,7 +23,7 @@ EyeTracker::train(const dataset::SyntheticEyeRenderer &renderer,
 TrackerOutput
 EyeTracker::processFrame(const Image &scene)
 {
-    const auto frame = pipeline_.processFrame(scene);
+    const auto &frame = pipeline_.processFrame(scene);
     ++frames_;
 
     TrackerOutput out;

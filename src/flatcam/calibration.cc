@@ -60,13 +60,24 @@ calibrateSeparable(const FlatCamSensor &sensor,
 
     CalibrationResult result;
 
+    // Each capture lands in one measurement buffer and its matrix
+    // copy; every pattern has the mask's scene extent.
+    Image meas;
+    Matrix ymat;
+    const auto capture = [&](const Image &scene) -> const Matrix & {
+        const Status s =
+            sensor.captureFrameInto(scene, result.captures_used, &meas);
+        eyecod_assert(s.isOk(), "calibration capture: %s",
+                      s.toString().c_str());
+        ++result.captures_used;
+        imageToMatrixInto(meas, &ymat);
+        return ymat;
+    };
+
     // 1. Full-on anchor capture: Y = (PhiL 1)(PhiR 1)^T.
-    const Image full_scene(sr, sc, 1.0f);
-    const Matrix y_full = imageToMatrix(sensor.capture(full_scene));
-    ++result.captures_used;
     std::vector<double> a_hat; // ~ PhiL 1 (up to the scale split)
     std::vector<double> c_hat; // ~ PhiR 1
-    rankOneFactor(y_full, a_hat, c_hat);
+    rankOneFactor(capture(Image(sr, sc, 1.0f)), a_hat, c_hat);
 
     // 2. Row impulses: column i of PhiL from Y_i = (PhiL e_i) c^T.
     result.mask.phiL =
@@ -75,9 +86,8 @@ calibrateSeparable(const FlatCamSensor &sensor,
         Image scene(sr, sc, 0.0f);
         for (int x = 0; x < sc; ++x)
             scene.at(i, x) = 1.0f;
-        const Matrix y = imageToMatrix(sensor.capture(scene));
-        ++result.captures_used;
-        const std::vector<double> col = projectColumns(y, c_hat);
+        const std::vector<double> col =
+            projectColumns(capture(scene), c_hat);
         for (size_t r = 0; r < col.size(); ++r)
             result.mask.phiL(r, size_t(i)) = col[r];
     }
@@ -89,10 +99,8 @@ calibrateSeparable(const FlatCamSensor &sensor,
         Image scene(sr, sc, 0.0f);
         for (int y = 0; y < sr; ++y)
             scene.at(y, j) = 1.0f;
-        const Matrix ym = imageToMatrix(sensor.capture(scene));
-        ++result.captures_used;
         const std::vector<double> col =
-            projectColumns(ym.transposed(), a_hat);
+            projectColumns(capture(scene).transposed(), a_hat);
         for (size_t r = 0; r < col.size(); ++r)
             result.mask.phiR(r, size_t(j)) = col[r];
     }

@@ -151,15 +151,6 @@ viewMax(ImageConstView v)
 
 void
 FaultInjector::applySensorFaults(const FrameFaults &faults, long frame,
-                                 Image &measurement) const
-{
-    if (measurement.size() == 0)
-        return;
-    applySensorFaults(faults, frame, ImageView::of(measurement));
-}
-
-void
-FaultInjector::applySensorFaults(const FrameFaults &faults, long frame,
                                  ImageView measurement) const
 {
     if (measurement.empty())
@@ -209,15 +200,6 @@ FaultInjector::applySensorFaults(const FrameFaults &faults, long frame,
                 measurement.at(y, x) +=
                     float(rng.gaussian(0.0, sigma));
     }
-}
-
-void
-FaultInjector::applyViewFaults(const FrameFaults &faults, long frame,
-                               Image &view) const
-{
-    if (view.size() == 0)
-        return;
-    applyViewFaults(faults, frame, ImageView::of(view));
 }
 
 void

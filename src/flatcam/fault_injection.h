@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 
-#include "common/image.h"
 #include "common/image_view.h"
 #include "common/rng.h"
 
@@ -117,20 +116,12 @@ class FaultInjector
     void applySensorFaults(const FrameFaults &faults, long frame,
                            ImageView measurement) const;
 
-    /** Owning-image shim over the view overload. */
-    void applySensorFaults(const FrameFaults &faults, long frame,
-                           Image &measurement) const;
-
     /**
      * Apply the reconstruction-domain faults (NanPoison) planned for
      * @p frame to the reconstructed @p view in place.
      */
     void applyViewFaults(const FrameFaults &faults, long frame,
                          ImageView view) const;
-
-    /** Owning-image shim over the view overload. */
-    void applyViewFaults(const FrameFaults &faults, long frame,
-                         Image &view) const;
 
     /** Configuration in use. */
     const FaultConfig &config() const { return cfg_; }

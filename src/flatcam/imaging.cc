@@ -24,19 +24,6 @@ FlatCamSensor::FlatCamSensor(std::shared_ptr<const SensorOptics> optics,
     measurement_.resetShape(size_t(sensorRows()), size_t(sensorCols()));
 }
 
-Image
-FlatCamSensor::capture(const Image &scene) const
-{
-    eyecod_assert(scene.height() == sceneRows() &&
-                  scene.width() == sceneCols(),
-                  "scene shape %dx%d != mask scene extent %dx%d",
-                  scene.height(), scene.width(),
-                  sceneRows(), sceneCols());
-    Image y;
-    multiplexInto(ImageConstView::of(scene), &y);
-    return y;
-}
-
 Status
 FlatCamSensor::captureFrameInto(ImageConstView scene,
                                 long frame_index, Image *out) const
@@ -48,29 +35,6 @@ FlatCamSensor::captureFrameInto(ImageConstView scene,
             frame_index, scene.height(), scene.width(), sceneRows(),
             sceneCols());
 
-    FrameFaults faults;
-    if (injector_)
-        faults = injector_->plan(frame_index);
-    if (faults.dropped())
-        return Status::error(ErrorCode::FrameDropped,
-                             "frame %ld dropped by sensor",
-                             frame_index);
-
-    multiplexInto(scene, out);
-    if (injector_)
-        injector_->applySensorFaults(faults, frame_index, *out);
-    return Status::ok();
-}
-
-void
-FlatCamSensor::resetNoise()
-{
-    rng_ = Rng(noise_.seed);
-}
-
-void
-FlatCamSensor::multiplexInto(ImageConstView scene, Image *out) const
-{
     imageToMatrixInto(scene, &scene_mat_);
     optics_->mask.phiL.multiplyInto(scene_mat_, &left_prod_);
     left_prod_.multiplyInto(optics_->phi_r_t, &measurement_);
@@ -98,14 +62,13 @@ FlatCamSensor::multiplexInto(ImageConstView scene, Image *out) const
         }
     }
     matrixToImageInto(measurement_, out);
+    return Status::ok();
 }
 
-Matrix
-imageToMatrix(const Image &img)
+void
+FlatCamSensor::resetNoise()
 {
-    Matrix m;
-    imageToMatrixInto(ImageConstView::of(img), &m);
-    return m;
+    rng_ = Rng(noise_.seed);
 }
 
 void

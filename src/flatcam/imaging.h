@@ -5,12 +5,14 @@
  * noise plus optional Poisson shot noise), producing the multiplexed
  * measurement a real FlatCam sensor would record.
  *
- * captureFrameInto() is the zero-copy spine: it takes the scene as a
- * non-owning view, runs the forward model through per-sensor matrix
+ * captureFrameInto() is the one capture call: it takes the scene as
+ * a non-owning view, runs the forward model through per-sensor matrix
  * scratch (sized at construction, reused every frame), and writes the
  * measurement into a caller-owned image — zero heap allocations in
- * steady state. The mask and PhiR^T are immutable SensorOptics
- * (optics.h), shared by every sensor of one mask.
+ * steady state. The sensor is the pure forward model: frame drops
+ * and sensor-domain faults are the pipeline's to apply. The mask and
+ * PhiR^T are immutable SensorOptics (optics.h), shared by every
+ * sensor of one mask.
  */
 
 #ifndef EYECOD_FLATCAM_IMAGING_H
@@ -25,7 +27,6 @@
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/status.h"
-#include "flatcam/fault_injection.h"
 #include "flatcam/mask.h"
 #include "flatcam/optics.h"
 
@@ -61,37 +62,16 @@ class FlatCamSensor
                   SensorNoise noise = {});
 
     /**
-     * Capture a scene: the scene image must match the mask's scene
-     * extent; returns the sensor measurement (sensor extent).
-     * Convenience wrapper that panics on a mis-sized scene and
-     * applies no fault schedule; tests and benches use it.
-     */
-    Image capture(const Image &scene) const;
-
-    /**
      * Capture one frame of a stream: the scene arrives as a view and
-     * the measurement lands in @p out (buffer reused across frames).
-     * A mis-sized scene returns a ShapeMismatch status (a real
-     * sensor feed can deliver garbage; the serving path must not
-     * abort). When a fault injector is attached, its schedule entry
-     * for @p frame_index is applied: a dropped frame returns
-     * FrameDropped, pixel-level faults corrupt the measurement in
-     * place. On error @p out is left unspecified.
+     * the noisy measurement (sensor extent) lands in @p out, whose
+     * buffer is reused across frames. A scene that does not match
+     * the mask's scene extent returns a ShapeMismatch status naming
+     * @p frame_index (a real sensor feed can deliver garbage; the
+     * serving path must not abort) and draws no noise. On error
+     * @p out is left unspecified.
      */
     Status captureFrameInto(ImageConstView scene, long frame_index,
                             Image *out) const;
-
-    /**
-     * Attach a fault injector consulted by captureFrameInto(); pass
-     * nullptr to detach. Not owned; must outlive the sensor's use.
-     */
-    void setFaultInjector(const FaultInjector *injector)
-    {
-        injector_ = injector;
-    }
-
-    /** The attached fault injector (null when none). */
-    const FaultInjector *faultInjector() const { return injector_; }
 
     /**
      * Restart the read/shot-noise RNG from its seed so a replayed
@@ -127,20 +107,16 @@ class FlatCamSensor
     int sensorRows() const { return int(mask().phiL.rows()); }
     int sensorCols() const { return int(mask().phiR.rows()); }
 
-    /** Scene shape expected by capture(). */
+    /** Scene shape expected by captureFrameInto(). */
     int sceneRows() const { return int(mask().phiL.cols()); }
     int sceneCols() const { return int(mask().phiR.cols()); }
 
   private:
-    /** The noisy forward model, shared by both capture paths. */
-    void multiplexInto(ImageConstView scene, Image *out) const;
-
-    // Only rng_ is snapshotted: the optics are immutable, the noise
-    // model is config, and the owner reattaches the injector.
+    // Only rng_ is snapshotted: the optics are immutable and the
+    // noise model is config.
     std::shared_ptr<const SensorOptics> optics_;
     SensorNoise noise_;
     mutable Rng rng_;
-    const FaultInjector *injector_ = nullptr;
 
     // Per-frame forward-model scratch, sized by the constructor and
     // reused by every capture. Sized there, it sits in the malloc
@@ -155,9 +131,6 @@ class FlatCamSensor
     mutable Matrix left_prod_;  ///< PhiL * x.
     mutable Matrix measurement_; ///< (PhiL * x) * PhiR^T, then noise.
 };
-
-/** Convert an Image to a Matrix (double). */
-Matrix imageToMatrix(const Image &img);
 
 /** Convert a view to a Matrix (double), reusing @p out's buffer. */
 void imageToMatrixInto(ImageConstView img, Matrix *out);

@@ -28,24 +28,27 @@ FlatCamReconstructor::FlatCamReconstructor(
     scene_mat_.resetShape(op.vl.rows(), op.vr_t.cols());
 }
 
-Image
-FlatCamReconstructor::reconstruct(const Image &measurement) const
-{
-    Image out;
-    reconstructInto(ImageConstView::of(measurement), &out);
-    return out;
-}
-
-void
-FlatCamReconstructor::reconstructInto(ImageConstView measurement,
-                                      Image *out) const
+Status
+FlatCamReconstructor::reconstructFrameInto(ImageConstView measurement,
+                                           Image *out) const
 {
     const ReconOptics &op = *optics_;
-    eyecod_assert(size_t(measurement.height()) == op.ul_t.cols() &&
-                  size_t(measurement.width()) == op.ur.rows(),
-                  "measurement shape %dx%d != sensor extent %zux%zu",
-                  measurement.height(), measurement.width(),
-                  op.ul_t.cols(), op.ur.rows());
+    if (size_t(measurement.height()) != op.ul_t.cols() ||
+        size_t(measurement.width()) != op.ur.rows())
+        return Status::error(
+            ErrorCode::ShapeMismatch,
+            "measurement shape %dx%d != sensor extent %zux%zu",
+            measurement.height(), measurement.width(), op.ul_t.cols(),
+            op.ur.rows());
+    for (int y = 0; y < measurement.height(); ++y) {
+        for (int x = 0; x < measurement.width(); ++x) {
+            if (!std::isfinite(measurement.at(y, x)))
+                return Status::error(
+                    ErrorCode::NonFinite,
+                    "non-finite sensor measurement; reconstruction "
+                    "would corrupt the whole scene");
+        }
+    }
 
     imageToMatrixInto(measurement, &meas_mat_);
     // Yhat = Ul^T y Ur.
@@ -60,29 +63,6 @@ FlatCamReconstructor::reconstructInto(ImageConstView measurement,
     vl_prod_.multiplyInto(op.vr_t, &scene_mat_);
     matrixToImageInto(scene_mat_, out);
     out->clamp(0.0f, 1.0f);
-}
-
-Status
-FlatCamReconstructor::reconstructFrameInto(ImageConstView measurement,
-                                           Image *out) const
-{
-    if (size_t(measurement.height()) != optics_->ul_t.cols() ||
-        size_t(measurement.width()) != optics_->ur.rows())
-        return Status::error(
-            ErrorCode::ShapeMismatch,
-            "measurement shape %dx%d != sensor extent %zux%zu",
-            measurement.height(), measurement.width(),
-            optics_->ul_t.cols(), optics_->ur.rows());
-    for (int y = 0; y < measurement.height(); ++y) {
-        for (int x = 0; x < measurement.width(); ++x) {
-            if (!std::isfinite(measurement.at(y, x)))
-                return Status::error(
-                    ErrorCode::NonFinite,
-                    "non-finite sensor measurement; reconstruction "
-                    "would corrupt the whole scene");
-        }
-    }
-    reconstructInto(measurement, out);
     return Status::ok();
 }
 

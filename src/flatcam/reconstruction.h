@@ -53,30 +53,13 @@ class FlatCamReconstructor
         std::shared_ptr<const ReconOptics> optics);
 
     /**
-     * Reconstruct the scene estimate from a sensor measurement.
-     * Convenience wrapper over reconstructInto(); tests and benches
-     * use it.
-     *
-     * @param measurement sensor-extent image from FlatCamSensor.
-     * @return scene-extent reconstructed image, clamped to [0, 1].
-     */
-    Image reconstruct(const Image &measurement) const;
-
-    /**
-     * Zero-copy reconstruction: the measurement arrives as a view
-     * and the scene estimate lands in @p out (buffer reused across
-     * frames). Bitwise-identical to reconstruct(); panics on a
-     * mis-sized measurement like reconstruct().
-     */
-    void reconstructInto(ImageConstView measurement, Image *out) const;
-
-    /**
-     * Serving-path reconstruction, the checked variant of
-     * reconstructInto(): a mis-sized measurement returns a
-     * ShapeMismatch status instead of aborting, and a measurement
-     * containing non-finite values returns NonFinite (the separable
-     * inverse would smear a single NaN across the whole scene). On
-     * error @p out is left unspecified.
+     * Reconstruct one frame: the sensor-extent measurement arrives
+     * as a view and the scene estimate, clamped to [0, 1], lands in
+     * @p out (buffer reused across frames). A mis-sized measurement
+     * returns a ShapeMismatch status instead of aborting, and a
+     * measurement containing non-finite values returns NonFinite
+     * (the separable inverse would smear a single NaN across the
+     * whole scene). On error @p out is left unspecified.
      */
     Status reconstructFrameInto(ImageConstView measurement,
                                 Image *out) const;
@@ -84,7 +67,7 @@ class FlatCamReconstructor
     /** Regularization weight in use. */
     double epsilon() const { return optics_->epsilon; }
 
-    /** Scene shape produced by reconstruct(). */
+    /** Scene shape produced by reconstructFrameInto(). */
     int sceneRows() const { return int(optics_->vl.rows()); }
     int sceneCols() const { return int(optics_->vr_t.cols()); }
 

@@ -381,19 +381,7 @@ ServingEngine::sessionMetrics(int id) const
 SessionHealth
 ServingEngine::sessionHealth(int id) const
 {
-    SessionHealth h = sessionRef(id).health();
-    core::FleetFailoverHealth &fleet = h.pipeline.fleet;
-    fleet.chip_failures = chip_failures_;
-    fleet.chip_rejoins = chip_rejoins_;
-    fleet.lanes_retired = lanes_retired_;
-    fleet.degradation_tier = health_.tier();
-    fleet.tier_transitions = health_.transitions();
-    for (const auto &sess : sessions_) {
-        fleet.redispatched_frames +=
-            sess->metrics().redispatched_frames;
-        fleet.failover_drops += sess->metrics().drops_failover;
-    }
-    return h;
+    return sessionRef(id).health();
 }
 
 const std::vector<dataset::GazeVec> &

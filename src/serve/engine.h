@@ -302,9 +302,8 @@ class ServingEngine
     const SessionMetrics &sessionMetrics(int id) const;
 
     /**
-     * Serving + pipeline health of session @p id; the embedded
-     * core::HealthReport carries the fleet failover counters and
-     * degradation-tier position.
+     * Serving + pipeline health of session @p id. Fleet failover
+     * counters and the degradation-tier position are fleetMetrics().
      */
     SessionHealth sessionHealth(int id) const;
 

@@ -303,15 +303,6 @@ VirtualAccelPool::effectiveCapacity() const
     return capacity;
 }
 
-int
-VirtualAccelPool::idleChip(long long now_us) const
-{
-    for (size_t c = 0; c < state_.size(); ++c)
-        if (state_[c].alive && state_[c].busy_until_us <= now_us)
-            return int(c);
-    return -1;
-}
-
 double
 VirtualAccelPool::batchServiceUs(
     const std::vector<double> &costs_us) const

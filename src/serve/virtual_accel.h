@@ -243,12 +243,6 @@ class VirtualAccelPool
     double effectiveCapacity() const;
 
     /**
-     * Lowest-index alive chip idle at @p now_us (busy horizon has
-     * passed), or -1 when every chip is busy or down.
-     */
-    int idleChip(long long now_us) const;
-
-    /**
      * Service time of a batch with the given per-frame costs,
      * microseconds: (1 - f) * sum + f * max.
      */

@@ -181,17 +181,24 @@ TEST(EyeCoDSystem, ProcessFrameCheckedRejectsMisSizedScene)
 
 TEST(EyeCoDSystem, ProcessFrameCheckedReportsDroppedFrames)
 {
-    SystemConfig cfg = fastConfig();
-    cfg.pipeline.faults.drop_rate = 1.0; // every frame is unusable
-    EyeCoDSystem sys(cfg);
-    dataset::RenderConfig rc;
-    rc.image_size = sys.config().pipeline.scene_size;
-    const dataset::SyntheticEyeRenderer ren(rc, 2019);
-    sys.train(ren, 120);
-    const Result<GazeSample> r =
-        sys.processFrameChecked(ren.sample(0).image);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), ErrorCode::FrameDropped);
+    // The pipeline drops frames for both cameras.
+    for (const eyetrack::CameraKind camera :
+         {eyetrack::CameraKind::Lens, eyetrack::CameraKind::FlatCam}) {
+        SCOPED_TRACE(camera == eyetrack::CameraKind::Lens ? "lens"
+                                                          : "flatcam");
+        SystemConfig cfg = fastConfig();
+        cfg.pipeline.camera = camera;
+        cfg.pipeline.faults.drop_rate = 1.0; // every frame is unusable
+        EyeCoDSystem sys(cfg);
+        dataset::RenderConfig rc;
+        rc.image_size = sys.config().pipeline.scene_size;
+        const dataset::SyntheticEyeRenderer ren(rc, 2019);
+        sys.train(ren, 120);
+        const Result<GazeSample> r =
+            sys.processFrameChecked(ren.sample(0).image);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), ErrorCode::FrameDropped);
+    }
 }
 
 } // namespace

@@ -130,9 +130,10 @@ TEST(Imaging, ForwardModelIsLinear)
     Image sum(32, 32);
     for (size_t i = 0; i < sum.size(); ++i)
         sum.data()[i] = a.data()[i] + b.data()[i];
-    const Image ya = cam.capture(a);
-    const Image yb = cam.capture(b);
-    const Image ysum = cam.capture(sum);
+    Image ya, yb, ysum;
+    ASSERT_TRUE(cam.captureFrameInto(a, 0, &ya).isOk());
+    ASSERT_TRUE(cam.captureFrameInto(b, 1, &yb).isOk());
+    ASSERT_TRUE(cam.captureFrameInto(sum, 2, &ysum).isOk());
     for (size_t i = 0; i < ysum.size(); ++i)
         EXPECT_NEAR(ysum.data()[i], ya.data()[i] + yb.data()[i],
                     1e-4);
@@ -144,8 +145,9 @@ TEST(Imaging, NoiseChangesMeasurement)
     nz.read_noise = 0.01;
     const FlatCamSensor cam(makeSeparableMask(smallMask()), nz);
     const Image scene = testScene(32);
-    const Image y1 = cam.capture(scene);
-    const Image y2 = cam.capture(scene);
+    Image y1, y2;
+    ASSERT_TRUE(cam.captureFrameInto(scene, 0, &y1).isOk());
+    ASSERT_TRUE(cam.captureFrameInto(scene, 1, &y2).isOk());
     EXPECT_GT(imageMse(y1, y2), 0.0);
 }
 
@@ -156,7 +158,8 @@ TEST(Imaging, ShotNoiseOnABlackSceneIsFinite)
     SensorNoise nz;
     nz.shot_noise_scale = 1000.0;
     const FlatCamSensor cam(makeSeparableMask(smallMask()), nz);
-    const Image y = cam.capture(Image(32, 32, 0.0f));
+    Image y;
+    ASSERT_TRUE(cam.captureFrameInto(Image(32, 32, 0.0f), 0, &y).isOk());
     for (float v : y.data())
         ASSERT_TRUE(std::isfinite(v));
 }
@@ -169,7 +172,8 @@ TEST(Imaging, MeasurementDoesNotResembleScene)
     nz.read_noise = 0.0;
     const FlatCamSensor cam(makeSeparableMask(smallMask()), nz);
     const Image scene = testScene(32);
-    const Image y = cam.capture(scene);
+    Image y;
+    ASSERT_TRUE(cam.captureFrameInto(scene, 0, &y).isOk());
     const Image y_crop = y.cropped(Rect{0, 0, 32, 32});
     EXPECT_LT(std::fabs(imageNcc(scene, y_crop)), 0.5);
 }
@@ -182,7 +186,9 @@ TEST(Reconstruction, NearExactWithoutNoise)
     const FlatCamSensor cam(mask, nz);
     const FlatCamReconstructor rec(mask, 1e-6);
     const Image scene = testScene(32);
-    const Image out = rec.reconstruct(cam.capture(scene));
+    Image y, out;
+    ASSERT_TRUE(cam.captureFrameInto(scene, 0, &y).isOk());
+    ASSERT_TRUE(rec.reconstructFrameInto(y, &out).isOk());
     EXPECT_GT(imagePsnr(out, scene), 40.0);
 }
 
@@ -194,7 +200,9 @@ TEST(Reconstruction, ToleratesSensorNoise)
     const FlatCamSensor cam(mask, nz);
     const FlatCamReconstructor rec(mask, 1e-3);
     const Image scene = testScene(32);
-    const Image out = rec.reconstruct(cam.capture(scene));
+    Image y, out;
+    ASSERT_TRUE(cam.captureFrameInto(scene, 0, &y).isOk());
+    ASSERT_TRUE(rec.reconstructFrameInto(y, &out).isOk());
     EXPECT_GT(imagePsnr(out, scene), 20.0);
 }
 
@@ -208,7 +216,9 @@ TEST(Reconstruction, NoisierThanLens)
     const FlatCamSensor cam(mask, nz);
     const FlatCamReconstructor rec(mask, 1e-3);
     const Image scene = testScene(32);
-    const Image out = rec.reconstruct(cam.capture(scene));
+    Image y, out;
+    ASSERT_TRUE(cam.captureFrameInto(scene, 0, &y).isOk());
+    ASSERT_TRUE(rec.reconstructFrameInto(y, &out).isOk());
     EXPECT_GT(imageMse(out, scene), 0.0);
     EXPECT_GT(imageNcc(out, scene), 0.8); // but still recognizable
 }
@@ -290,10 +300,15 @@ TEST(SharedOptics, SharedAndPrivateOpticsAgreeBitwise)
     const FlatCamReconstructor private_rec(mask, 1e-3);
 
     const Image scene = testScene(32);
-    const Image y = shared_cam.capture(scene);
-    EXPECT_EQ(y.data(), private_cam.capture(scene).data());
-    EXPECT_EQ(shared_rec.reconstruct(y).data(),
-              private_rec.reconstruct(y).data());
+    Image y_shared, y_private, x_shared, x_private;
+    ASSERT_TRUE(shared_cam.captureFrameInto(scene, 0, &y_shared).isOk());
+    ASSERT_TRUE(
+        private_cam.captureFrameInto(scene, 0, &y_private).isOk());
+    EXPECT_EQ(y_shared.data(), y_private.data());
+    ASSERT_TRUE(shared_rec.reconstructFrameInto(y_shared, &x_shared).isOk());
+    ASSERT_TRUE(
+        private_rec.reconstructFrameInto(y_shared, &x_private).isOk());
+    EXPECT_EQ(x_shared.data(), x_private.data());
     EXPECT_EQ(shared_rec.macsPerFrame(), private_rec.macsPerFrame());
     EXPECT_EQ(shared_rec.epsilon(), 1e-3);
     // The sensor and the reconstructor each hold one reference.
@@ -326,8 +341,10 @@ TEST(FlatCamGolden, PipelineCaptureAndReconstructionArePinned)
         cfg.sensor_noise);
     const FlatCamReconstructor rec(
         std::shared_ptr<const ReconOptics>(optics, &optics->recon));
-    const Image y = cam.capture(testScene(cfg.scene_size));
-    const Image x = rec.reconstruct(y);
+    Image y, x;
+    ASSERT_TRUE(cam.captureFrameInto(testScene(cfg.scene_size), 0, &y)
+                    .isOk());
+    ASSERT_TRUE(rec.reconstructFrameInto(y, &x).isOk());
     EXPECT_EQ(hashBits(y), 0x38fcf06255344ab1u) << std::hex << hashBits(y);
     EXPECT_EQ(hashBits(x), 0x599a24be56a5212du) << std::hex << hashBits(x);
 }

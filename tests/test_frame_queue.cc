@@ -180,19 +180,27 @@ toyModel()
     return m;
 }
 
-TEST(VirtualAccelPool, IdleChipIsLowestIndexAvailable)
+TEST(VirtualAccelPool, BusyHorizonsTrackDispatches)
 {
+    // A chip is idle at t when it is alive and busyUntil() <= t, the
+    // test the engine's dispatch loop makes.
     VirtualAccelPool pool(3, toyModel(), 0.3);
     EXPECT_EQ(pool.chips(), 3);
-    EXPECT_EQ(pool.idleChip(0), 0);
-    pool.dispatch(0, 0, 100.0);
-    EXPECT_EQ(pool.idleChip(0), 1);
+    EXPECT_TRUE(pool.allIdle(0));
+    for (int c = 0; c < 3; ++c) {
+        EXPECT_TRUE(pool.alive(c));
+        EXPECT_LE(pool.busyUntil(c), 0);
+    }
+    EXPECT_EQ(pool.dispatch(0, 0, 100.0), 100);
+    EXPECT_EQ(pool.busyUntil(0), 100);
+    EXPECT_LE(pool.busyUntil(1), 0);
+    EXPECT_FALSE(pool.allIdle(0));
     pool.dispatch(1, 0, 500.0);
     pool.dispatch(2, 0, 500.0);
-    EXPECT_EQ(pool.idleChip(0), -1);
-    EXPECT_FALSE(pool.allIdle(0));
     // Chip 0 frees first.
-    EXPECT_EQ(pool.idleChip(100), 0);
+    EXPECT_LE(pool.busyUntil(0), 100);
+    EXPECT_GT(pool.busyUntil(1), 100);
+    EXPECT_FALSE(pool.allIdle(100));
     EXPECT_TRUE(pool.allIdle(500));
 }
 

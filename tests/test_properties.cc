@@ -256,9 +256,12 @@ TEST(FailureInjection, WrongMaskBreaksReconstruction)
     rc.image_size = 32;
     const dataset::SyntheticEyeRenderer ren(rc, 2019);
     const auto s = ren.sample(1);
-    const Image y = cam.capture(s.image);
-    EXPECT_GT(imagePsnr(right.reconstruct(y), s.image), 35.0);
-    EXPECT_LT(imagePsnr(wrong.reconstruct(y), s.image), 15.0);
+    Image y, x_right, x_wrong;
+    ASSERT_TRUE(cam.captureFrameInto(s.image, 0, &y).isOk());
+    ASSERT_TRUE(right.reconstructFrameInto(y, &x_right).isOk());
+    ASSERT_TRUE(wrong.reconstructFrameInto(y, &x_wrong).isOk());
+    EXPECT_GT(imagePsnr(x_right, s.image), 35.0);
+    EXPECT_LT(imagePsnr(x_wrong, s.image), 15.0);
 }
 
 } // namespace

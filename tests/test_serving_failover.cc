@@ -7,7 +7,7 @@
  * failover behavior — re-dispatch of in-flight frames, the ladder's
  * round trip and p99 recovery across a chip outage, dead-fleet
  * drains, tier-4 admission rejection, and the fleet counters
- * surfaced through sessionHealth().
+ * surfaced through fleetMetrics().
  */
 
 #include <gtest/gtest.h>
@@ -55,8 +55,11 @@ TEST(VirtualAccelPool, FailRefundsBusyAndRejoinRestores)
     EXPECT_EQ(pool.aliveChips(), 1);
     // The unserved tail [5000, 7000) is refunded from busy time.
     EXPECT_DOUBLE_EQ(pool.totalBusyUs(), 1000.0);
-    // A dead chip is never handed out.
-    EXPECT_EQ(pool.idleChip(6000), 0);
+    // Chip 1's busy horizon has passed, but it is dead; chip 0 is
+    // the one idle chip.
+    EXPECT_LE(pool.busyUntil(1), 6000);
+    EXPECT_TRUE(pool.alive(0));
+    EXPECT_LE(pool.busyUntil(0), 6000);
 
     outcome = pool.applyEventsUpTo(9000);
     ASSERT_EQ(outcome.rejoined.size(), 1u);
@@ -357,7 +360,7 @@ TEST(ServingEngine, AdmissionRejectsAtTierFour)
     eng.stop(/*drain_first=*/false);
 }
 
-TEST(ServingEngine, SessionHealthCarriesFleetFailoverCounters)
+TEST(ServingEngine, FleetMetricsCarryFailoverCounters)
 {
     ServingConfig cfg = quickServingConfig(2);
     disableDegradationLadder(cfg);
@@ -369,10 +372,10 @@ TEST(ServingEngine, SessionHealthCarriesFleetFailoverCounters)
                       servingTestRenderer());
     eng.runTrace(makeTraffic(servingTestRenderer(),
                              failoverTraffic(16, 40)));
-    const SessionHealth h = eng.sessionHealth(0);
-    EXPECT_EQ(h.pipeline.fleet.chip_failures, 1);
-    EXPECT_EQ(h.pipeline.fleet.chip_rejoins, 1);
-    EXPECT_GT(h.pipeline.fleet.redispatched_frames, 0);
+    const FleetMetrics fm = eng.fleetMetrics();
+    EXPECT_EQ(fm.chip_failures, 1);
+    EXPECT_EQ(fm.chip_rejoins, 1);
+    EXPECT_GT(fm.redispatched_frames, 0);
 }
 
 TEST(ServingEngine, WarnCountersSurfaceInHealthReport)
