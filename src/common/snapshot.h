@@ -62,7 +62,7 @@ namespace snap {
 constexpr uint32_t kSnapshotMagic = 0x45594353u;
 
 /** Current format version. Bump on any layout change. */
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
 /** A field that travels as wire type @p W; see wire(). */
 template <class W, class T>

@@ -36,8 +36,8 @@ EyeCoDSystem::processFrameChecked(const Image &scene)
     // Run the frame through the pipeline unconditionally so the
     // degradation FSM and health counters advance exactly as on the
     // unchecked path; only the reporting differs. The result is read
-    // in place: its full-frame view is never copied on the serving
-    // hot path.
+    // in place: its ROI crop is never copied on the serving hot
+    // path.
     const auto &r = pipe_->processFrame(scene);
     if (mis_sized)
         return Status::error(

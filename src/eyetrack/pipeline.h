@@ -8,6 +8,11 @@
  * As in the paper, ROI prediction runs once every `roi_refresh`
  * frames and the gaze stage consumes the ROI computed during the
  * *previous* refresh window, i.e. an ROI extracted N..2N frames ago.
+ *
+ * Focus goes one stage earlier still: a frame that does not segment
+ * and has no planned fault knows its ROI before acquisition, so it
+ * acquires only the ROI (a FlatCam frame reconstructs just the ROI's
+ * pixels). Every frame's view is the ROI crop gaze reads.
  */
 
 #ifndef EYECOD_EYETRACK_PIPELINE_H
@@ -180,10 +185,9 @@ class PredictThenFocusPipeline
         dataset::GazeVec gaze{0, 0, 1};
         bool roi_refreshed = false; ///< Segmentation ran this frame.
         Rect roi;                   ///< Crop used for gaze.
-        Image view;                 ///< Acquired (reconstructed)
-                                    ///  image the stages consumed
-                                    ///  (the last good view on a
-                                    ///  dropped frame).
+        Image view;                 ///< The ROI crop gaze read,
+                                    ///  edge-clamped (the last good
+                                    ///  crop on a dropped frame).
         FrameHealth health;         ///< Degradation record.
     };
 
@@ -196,10 +200,9 @@ class PredictThenFocusPipeline
      *
      * The result lives in a member slot, valid until the next
      * processFrame() or reset() call; copy it to keep it. The
-     * per-frame scratch — acquired view, FlatCam measurement,
-     * clamped ROI crops — is served from the pipeline's buffer arena
-     * and capacity-reusing member images, so steady-state frames
-     * perform zero heap allocations.
+     * per-frame scratch — full view, FlatCam measurement, the ROI
+     * crop — lives in capacity-reusing member images, so
+     * steady-state frames perform zero heap allocations.
      */
     const FrameResult &processFrame(const Image &scene);
 
@@ -214,7 +217,7 @@ class PredictThenFocusPipeline
      * Serialize the full per-sequence state — exactly the set
      * reset() clears: ROI refresh phase, crop RNG, degradation FSM
      * (fallback ROIs, held gaze, watchdog backoff, outage streak),
-     * the last acquired view, health counters, and the sensor noise
+     * the last ROI crop, health counters, and the sensor noise
      * stream position. The trained gaze estimator, mask, and
      * configuration are NOT captured: they are construction inputs a
      * restoring process already holds.
@@ -238,7 +241,7 @@ class PredictThenFocusPipeline
     static void
     fields(Self &p, Ar &ar)
     {
-        ar.tag(0x50495031); // "PIP1"
+        ar.tag(0x50495032); // "PIP2"
         // ROI refresh chain.
         ar.field(p.frame_index_);
         ar.field(p.current_roi_);
@@ -250,6 +253,11 @@ class PredictThenFocusPipeline
         ar.field(p.last_gaze_);
         ar.field(p.has_last_gaze_);
         ar.field(p.last_view_);
+        ar.check((p.last_view_.height() == 0 &&
+                  p.last_view_.width() == 0) ||
+                     (p.last_view_.height() == p.cfg_.roi_height &&
+                      p.last_view_.width() == p.cfg_.roi_width),
+                 "last view is neither empty nor an ROI crop");
         ar.field(p.seg_pending_);
         ar.field(p.frames_to_retry_);
         ar.field(p.backoff_);
@@ -294,7 +302,8 @@ class PredictThenFocusPipeline
 
     /**
      * The per-pipeline frame arena (epoch-reset at the top of every
-     * processed frame); exposes pooling statistics for benches.
+     * processed frame). No frame scratch comes from it; benches still
+     * read its statistics.
      */
     const BufferArena &arena() const { return arena_; }
 
@@ -305,15 +314,16 @@ class PredictThenFocusPipeline
 
   private:
     /**
-     * Acquire one serving-path frame into @p view (capacity-reusing)
-     * with typed errors, applying this frame's planned @p faults: a
-     * drop before any capture, sensor-domain faults to the lens
-     * image or the FlatCam measurement, NaN poison to the view. On
-     * error @p view is unspecified and must not be consumed.
+     * Acquire the @p extent of one serving-path frame into @p view
+     * (capacity-reusing, edge-clamped) with typed errors, applying
+     * this frame's planned @p faults: a drop before any capture,
+     * sensor-domain faults to the lens image or the FlatCam
+     * measurement, NaN poison to the view. On error @p view is
+     * unspecified and must not be consumed.
      */
     Status acquireFrameInto(const Image &scene, long frame,
                             const flatcam::FrameFaults &faults,
-                            Image *view);
+                            const Rect &extent, Image *view);
 
     /** Run + gate segmentation; updates the ROI chain and watchdog. */
     void refreshRoi(ImageConstView view, bool forced,
@@ -321,6 +331,13 @@ class PredictThenFocusPipeline
 
     /** Centered roi_height x roi_width crop of the scene extent. */
     Rect centeredCrop() const;
+
+    /**
+     * The ROI gaze reads on @p frame, from the fallback chain: the
+     * fresh predicted chain, else the last good ROI, else the
+     * centered crop; records which in @p health.
+     */
+    Rect activeRoi(long frame, FrameHealth &health) const;
 
     // Construction inputs, not snapshot state: the config, the
     // stateless segmenter, the ROI stage (its state travels in the
@@ -347,7 +364,7 @@ class PredictThenFocusPipeline
     long last_accept_frame_ = -1;  ///< Frame of that acceptance.
     dataset::GazeVec last_gaze_{0, 0, 1};
     bool has_last_gaze_ = false;
-    Image last_view_;              ///< Last successfully acquired view.
+    Image last_view_;              ///< ROI crop of the last good frame.
     bool seg_pending_ = false;     ///< Seg was due on a dropped frame.
     long frames_to_retry_ = -1;    ///< Watchdog countdown (-1 idle).
     int backoff_ = 1;              ///< Current watchdog backoff.
@@ -355,17 +372,19 @@ class PredictThenFocusPipeline
                                    ///  degraded streak (-1 healthy).
     HealthStats health_stats_;
 
-    // Frame spine: pooled per-frame scratch. The arena is epoch-reset
-    // at the top of every frame; the member images are sized by the
-    // constructor (in the building thread's malloc arena, as the
+    // Frame spine: per-frame scratch. The member images are sized by
+    // the constructor (in the building thread's malloc arena, as the
     // FlatCam scratch is) and reuse capacity, so steady-state frames
     // never touch the heap. None of it is snapshotted: each buffer is
     // repainted before its first use in a frame, and the result slot
-    // is overwritten by the next frame.
+    // is overwritten by the next frame. The arena is epoch-reset at
+    // the top of every frame and serves nothing.
     BufferArena arena_;
-    Image view_;       ///< Acquired (reconstructed) frame scratch.
+    Image view_;       ///< Full-extent view of a frame that is not
+                       ///  a focus frame.
     Image meas_;       ///< FlatCam measurement scratch.
-    FrameResult result_; ///< processFrame() result slot.
+    FrameResult result_; ///< processFrame() result slot; its view
+                         ///  takes a focus frame's acquisition.
 };
 
 } // namespace eyetrack

@@ -31,14 +31,16 @@ EyeTracker::processFrame(const Image &scene)
     out.raw_gaze = frame.gaze;
 
     // Blink detection: a closed eye leaves no pupil-dark pixels in
-    // the ROI. Cheap enough to run every frame, unlike the
-    // segmentation stage.
-    const Image crop = frame.view.cropped(frame.roi);
+    // the ROI crop the pipeline returns as its view. Cheap enough to
+    // run every frame, unlike the segmentation stage. A stream that
+    // opens on a dropped frame has no crop yet, so no pupil either.
     long dark = 0;
-    for (float v : crop.data())
+    for (float v : frame.view.data())
         dark += v <= cfg_.pupil_dark_level;
     const double dark_fraction =
-        double(dark) / double(crop.size());
+        frame.view.size() > 0
+            ? double(dark) / double(frame.view.size())
+            : 0.0;
     out.blink = dark_fraction < cfg_.min_pupil_fraction;
 
     if (out.blink) {

@@ -10,9 +10,9 @@
  * scratch (sized at construction, reused every frame), and writes the
  * measurement into a caller-owned image — zero heap allocations in
  * steady state. The sensor is the pure forward model: frame drops
- * and sensor-domain faults are the pipeline's to apply. The mask and
- * PhiR^T are immutable SensorOptics (optics.h), shared by every
- * sensor of one mask.
+ * and sensor-domain faults are the pipeline's to apply. The mask is
+ * immutable SensorOptics (optics.h), shared by every sensor of one
+ * mask.
  */
 
 #ifndef EYECOD_FLATCAM_IMAGING_H
@@ -127,9 +127,10 @@ class FlatCamSensor
     // const, the scratch is not observable state. A sensor is owned
     // by one pipeline and never shared across threads (the RNG
     // already forbids that); its optics are.
-    mutable Matrix scene_mat_;  ///< x (scene as doubles).
+    mutable Matrix scene_mat_;  ///< x (scene as doubles), then
+                                ///  (PhiL * x)^T.
     mutable Matrix left_prod_;  ///< PhiL * x.
-    mutable Matrix measurement_; ///< (PhiL * x) * PhiR^T, then noise.
+    mutable Matrix measurement_; ///< Y^T = PhiR * (PhiL * x)^T.
 };
 
 /** Convert a view to a Matrix (double), reusing @p out's buffer. */

@@ -58,7 +58,7 @@ class OpticsTable
 } // namespace
 
 SensorOptics::SensorOptics(SeparableMask m)
-    : mask(std::move(m)), phi_r_t(mask.phiR.transposed())
+    : mask(std::move(m))
 {
 }
 

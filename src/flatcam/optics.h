@@ -3,7 +3,7 @@
  * Immutable FlatCam optics: the operators derived from one calibrated
  * mask, which no frame changes.
  *
- * The forward model (Eq. 1) needs the mask and PhiR^T; the Tikhonov
+ * The forward model (Eq. 1) needs only the mask; the Tikhonov
  * inverse (Eq. 2) needs the four SVD factors and the element-wise
  * filter. Both depend only on the mask and epsilon, so a process
  * builds them once per mask and every FlatCamSensor and
@@ -33,7 +33,6 @@ struct SensorOptics
     explicit SensorOptics(SeparableMask m);
 
     SeparableMask mask;
-    Matrix phi_r_t; ///< PhiR^T.
 };
 
 /**

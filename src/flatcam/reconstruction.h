@@ -12,9 +12,15 @@
  *
  * The SVDs and the filter depend only on the (calibrated) mask, so
  * they are computed once into an immutable ReconOptics (optics.h)
- * and each frame costs three small dense products plus an
+ * and each frame costs four small dense products plus an
  * element-wise filter — this is the "reconstruction" workload whose
  * weights live in the accelerator's weight GB.
+ *
+ * The last two products are separable in the output: a pixel of X
+ * reads one row of Vl and one column of Vr^T. So a frame whose ROI
+ * is known before acquisition (predict-then-focus, one stage
+ * earlier) reconstructs only the ROI, bit for bit the crop of the
+ * full reconstruction.
  */
 
 #ifndef EYECOD_FLATCAM_RECONSTRUCTION_H
@@ -64,6 +70,17 @@ class FlatCamReconstructor
     Status reconstructFrameInto(ImageConstView measurement,
                                 Image *out) const;
 
+    /**
+     * The same reconstruction over @p roi alone: @p out (roi.height x
+     * roi.width) is bit for bit what Image::croppedInto cuts from the
+     * full reconstruction, edge-clamped where @p roi leaves the
+     * scene. Ul^T y Ur and the filter still run in full; the last
+     * two products read only the ROI's rows of Vl and columns of
+     * Vr^T. The full-frame call is this one over the whole scene.
+     */
+    Status reconstructFrameInto(ImageConstView measurement,
+                                const Rect &roi, Image *out) const;
+
     /** Regularization weight in use. */
     double epsilon() const { return optics_->epsilon; }
 
@@ -72,8 +89,9 @@ class FlatCamReconstructor
     int sceneCols() const { return int(optics_->vr_t.cols()); }
 
     /**
-     * Multiply-accumulate count of one reconstruction, used by the
-     * accelerator workload compiler (three dense products).
+     * Multiply-accumulate count of one full-frame reconstruction,
+     * used by the accelerator workload compiler (four dense products
+     * and the filter).
      */
     long long macsPerFrame() const;
 
@@ -85,11 +103,13 @@ class FlatCamReconstructor
     // reused by every frame; not observable state, hence mutable. A
     // reconstructor is owned by one pipeline and never shared across
     // threads (its optics are).
-    mutable Matrix meas_mat_;  ///< y (measurement as doubles).
-    mutable Matrix left_prod_; ///< Ul^T * y.
+    mutable Matrix meas_mat_;  ///< y (measurement as doubles), then
+                               ///  the ROI's rows of Vl.
+    mutable Matrix left_prod_; ///< Ul^T * y, then the ROI's columns
+                               ///  of Vr^T.
     mutable Matrix yhat_;      ///< Ul^T y Ur, then the filter.
-    mutable Matrix vl_prod_;   ///< Vl * Xhat.
-    mutable Matrix scene_mat_; ///< (Vl Xhat) * Vr^T.
+    mutable Matrix vl_prod_;   ///< Vl * Xhat, the ROI's rows.
+    mutable Matrix scene_mat_; ///< (Vl Xhat) * Vr^T, the ROI.
 };
 
 } // namespace flatcam

@@ -472,17 +472,17 @@ TEST(CrashRecoveryHardening, WireFormatIsPinned)
     // sides would pass them all. These are the byte counts and
     // FNV-1a hashes of the lens corpus and of the same drive with
     // FlatCam sessions, which adds each sensor's noise stream (SNS1)
-    // inside its pipeline (PIP1); the values of x86-64
+    // inside its pipeline (PIP2); the values of x86-64
     // libstdc++/glibc.
     const std::vector<uint8_t> lens = corpusSnapshot();
-    EXPECT_EQ(lens.size(), 824201u);
-    EXPECT_EQ(snap::fnv1a(lens.data(), lens.size()), 0xaa61f42017f81459u)
+    EXPECT_EQ(lens.size(), 222089u);
+    EXPECT_EQ(snap::fnv1a(lens.data(), lens.size()), 0xc8ad77c39a34e2dcu)
         << std::hex << snap::fnv1a(lens.data(), lens.size());
     const std::vector<uint8_t> flatcam =
         corpusSnapshot(flatcamServingTestSystem());
-    EXPECT_EQ(flatcam.size(), 900659u);
+    EXPECT_EQ(flatcam.size(), 298547u);
     EXPECT_EQ(snap::fnv1a(flatcam.data(), flatcam.size()),
-              0x52f88358384f071cu)
+              0x973dc5ae6168837bu)
         << std::hex << snap::fnv1a(flatcam.data(), flatcam.size());
 }
 

@@ -80,7 +80,11 @@ sparseMatrix(size_t rows, size_t cols, uint64_t seed)
     return m;
 }
 
-/** The six products of one FlatCam frame, on the pipeline's optics. */
+/**
+ * The products of one FlatCam frame, on the pipeline's optics: the
+ * forward model both ways round (the sensor computes Y^T, which skips
+ * PhiR's zeros), then the four reconstruction products.
+ */
 void
 addFlatCamCases(std::vector<ProductCase> *cases)
 {
@@ -94,7 +98,8 @@ addFlatCamCases(std::vector<ProductCase> *cases)
     for (double &v : scene.data())
         v = rng.uniform();
     const Matrix left = referenceProduct(s.mask.phiL, scene);
-    const Matrix y = referenceProduct(left, s.phi_r_t);
+    const Matrix phi_r_t = s.mask.phiR.transposed();
+    const Matrix y = referenceProduct(left, phi_r_t);
     const Matrix ul_y = referenceProduct(r.ul_t, y);
     Matrix yhat = referenceProduct(ul_y, r.ur);
     for (size_t i = 0; i < yhat.rows(); ++i)
@@ -102,7 +107,8 @@ addFlatCamCases(std::vector<ProductCase> *cases)
             yhat(i, j) *= r.filter(i, j);
     const Matrix vl_yhat = referenceProduct(r.vl, yhat);
     cases->push_back({"PhiL * x", s.mask.phiL, scene});
-    cases->push_back({"(PhiL x) * PhiR^T", left, s.phi_r_t});
+    cases->push_back({"(PhiL x) * PhiR^T", left, phi_r_t});
+    cases->push_back({"PhiR * (PhiL x)^T", s.mask.phiR, left.transposed()});
     cases->push_back({"Ul^T * y", r.ul_t, y});
     cases->push_back({"(Ul^T y) * Ur", ul_y, r.ur});
     cases->push_back({"Vl * Yhat", r.vl, yhat});

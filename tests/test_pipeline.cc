@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
 #include "eyetrack/pipeline.h"
 
 namespace eyecod {
@@ -42,6 +43,39 @@ TEST(Pipeline, AcquireFlatCamReconstructs)
     EXPECT_EQ(v.height(), 128);
     EXPECT_GT(imagePsnr(v, s.image), 20.0);
     EXPECT_GT(imageMse(v, s.image), 0.0); // noisier than lens
+}
+
+TEST(Pipeline, RestoreRejectsALastViewThatIsNotAnRoiCrop)
+{
+    // The snapshot carries the last good frame's ROI crop. A crop of
+    // another extent (here from a pipeline with a smaller ROI) is
+    // corrupt input: a held frame would hand it on as the view.
+    PipelineConfig pc;
+    pc.camera = CameraKind::Lens;
+    PipelineConfig small = pc;
+    small.roi_height = 40;
+    small.roi_width = 72;
+    const auto ren = renderer128();
+    PredictThenFocusPipeline src(small);
+    src.trainGaze(ren, 60);
+    src.processFrame(ren.sample(1).image);
+    snap::SnapshotWriter w;
+    src.saveSnapshot(w);
+
+    PredictThenFocusPipeline dst(pc);
+    snap::SnapshotReader bad(w.bytes());
+    const Status s = dst.restoreSnapshot(bad);
+    EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot) << s.toString();
+
+    // The same snapshot restores where the extent matches, and so
+    // does a pipeline that has no last view yet.
+    PredictThenFocusPipeline same(small);
+    snap::SnapshotReader good(w.bytes());
+    EXPECT_TRUE(same.restoreSnapshot(good).isOk());
+    snap::SnapshotWriter fresh;
+    PredictThenFocusPipeline(pc).saveSnapshot(fresh);
+    snap::SnapshotReader empty(fresh.bytes());
+    EXPECT_TRUE(dst.restoreSnapshot(empty).isOk());
 }
 
 TEST(Pipeline, RefreshCadenceMatchesConfig)
